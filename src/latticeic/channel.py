@@ -90,6 +90,19 @@ def noise_rng(master_seed, receiver: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def receive(ch: ChannelMatrix3, j: int, xs, z) -> np.ndarray:
+    """Receiver j's output y_j = x_j + sum_{k != j} h_jk x_k + z.
+
+    xs holds the three users' blocks, each of shape (n,) or (T, n); z is the
+    noise already scaled to its variance (0 gives the noiseless map).
+    """
+    y = np.array(xs[j], dtype=float)
+    for k in range(3):
+        if k != j:
+            y += ch.h[j, k] * xs[k]
+    return y + z
+
+
 def transmit(
     ch: ChannelMatrix3,
     x1,
@@ -98,7 +111,8 @@ def transmit(
     noise_seed,
     sigma2: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One channel use of n dimensions: y_j = x_j + sum_k h_jk x_k + z_j.
+    """One channel use of n dimensions at all three receivers, with noise
+    from the per-receiver streams `noise_rng(noise_seed, j)`.
 
     sigma2 is a test hook for the noise variance (default 1); sigma2=0
     gives the noiseless linear map.
@@ -107,26 +121,11 @@ def transmit(
     n = xs[0].shape[0]
     if any(x.shape != (n,) for x in xs):
         raise ValueError("transmit blocks must have equal length")
-    ys = []
     std = float(np.sqrt(sigma2))
-    for j in range(3):
-        y = xs[j].copy()
-        for k in range(3):
-            if k != j:
-                y += ch.h[j, k] * xs[k]
-        if std > 0:
-            y += std * noise_rng(noise_seed, j).normal(size=n)
-        ys.append(y)
-    return tuple(ys)
-
-
-@dataclass(frozen=True)
-class ChannelUse:
-    """Record of one transmission: inputs, outputs and the noise seed."""
-
-    x: tuple[np.ndarray, np.ndarray, np.ndarray]
-    y: tuple[np.ndarray, np.ndarray, np.ndarray]
-    noise_seed: int
+    return tuple(
+        receive(ch, j, xs, std * noise_rng(noise_seed, j).normal(size=n) if std > 0 else 0.0)
+        for j in range(3)
+    )
 
 
 def check_power(x, P: float, tol: float = 0.0) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import channel_from_json, class_h1_membership, ChannelMatrix3
+from .channel import channel_from_json
 from .rates import (
     AllocationError,
     dof_symmetric,
@@ -128,7 +128,16 @@ def cmd_sym_rate_compare(args) -> int:
     return EXIT_OK
 
 
+def _triple(name: str, text: str) -> list[float]:
+    values = [float(x) for x in text.split(",")]
+    if len(values) != 3:
+        raise ConfigError(f"--{name} needs exactly 3 comma-separated values, got {len(values)}")
+    return values
+
+
 def cmd_align_check(args) -> int:
+    powers = None if args.powers is None else _triple("powers", args.powers)
+    noises = _triple("noises", args.noises or "1,1,1")
     text = Path(args.matrix_file).read_text()
     try:
         ch = channel_from_json(text)
@@ -142,9 +151,7 @@ def cmd_align_check(args) -> int:
         f2 = p * h[0, 2] / h[0, 1]
         f1 = q * h[1, 2] / h[1, 0]
         report["scale_factors"] = [f1, f2, 1.0]
-        if args.powers is not None:
-            powers = [float(x) for x in args.powers.split(",")]
-            noises = [float(x) for x in (args.noises or "1,1,1").split(",")]
+        if powers is not None:
             res = very_strong_general(ch, powers, noises)
             if res is None:
                 report["condition_set"] = None
@@ -176,7 +183,6 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         doc.setdefault("master_seed", args.seed)
     cfg = SimConfig(**doc)
-    cfg.validate()
     stats = run_simulation(cfg)
     out = Path(args.out)
     out.write_text(stats.to_json_line(cfg) + "\n")
@@ -242,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master RNG seed")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p = sub.add_parser("dof-curve", help="degrees-of-freedom curve over a^2")
     common(p)
@@ -294,12 +299,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_current_argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, AllocationError) or isinstance(exc, RuntimeError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+    except (ValueError, OSError) as exc:  # ConfigError and AllocationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_RUNTIME if isinstance(exc, AllocationError) else EXIT_VALIDATION
     except (RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix3
+from .channel import ChannelMatrix3, class_h1_membership, receive, symmetric_channel
 from .lattice import (
     Codebook,
     Lattice,
@@ -26,7 +26,6 @@ from .lattice import (
     scale_lattice,
 )
 from .rates import (
-    AllocationError,
     layered_allocation_symmetric,
     stage_constraints_strong,
     very_strong_general,
@@ -211,27 +210,69 @@ def design_lattice(
     return construction_a(make_linear_code(n, k, p, seed), gamma)
 
 
-def _layer_codebooks(
-    cfg: SimConfig, cand: int, powers: list[float], rates: list[float]
+def _codebooks(
+    cfg: SimConfig, cand: int, lattices, powers: list[float], rates: list[float]
 ) -> list[Codebook] | None:
-    """Codebooks for one candidate index, or None if any layer misses its
-    cardinality target."""
+    """Shaped codebooks for one candidate index, or None once a layer misses
+    its cardinality target. `lattices` is consumed lazily, so no lattice is
+    designed after a layer fails."""
     books = []
-    for i, (P, R) in enumerate(zip(powers, rates)):
-        pairs = _candidate_params(cfg.n, R)
-        p, k = pairs[cand % len(pairs)]
-        lat = design_lattice(cfg.n, P, R, p, k, _stream(cfg.master_seed, _CODE, cand, i))
-        cb = build_codebook(
-            lat,
-            P,
-            R,
-            shift_trials=cfg.shift_trials,
-            seed=_stream(cfg.master_seed, _SHIFT, cand, i),
-        )
+    for i, (P, R, lat) in enumerate(zip(powers, rates, lattices)):
+        seed = _stream(cfg.master_seed, _SHIFT, cand, i)
+        cb = build_codebook(lat, P, R, shift_trials=cfg.shift_trials, seed=seed)
         if not cb.target_met:
             return None
         books.append(cb)
     return books
+
+
+def _layer_codebooks(
+    cfg: SimConfig, cand: int, powers: list[float], rates: list[float]
+) -> list[Codebook] | None:
+    """One independently designed lattice per layer, from the candidate
+    index's (p, k) pair."""
+
+    def lattices():
+        for i, (P, R) in enumerate(zip(powers, rates)):
+            pairs = _candidate_params(cfg.n, R)
+            p, k = pairs[cand % len(pairs)]
+            yield design_lattice(cfg.n, P, R, p, k, _stream(cfg.master_seed, _CODE, cand, i))
+
+    return _codebooks(cfg, cand, lattices(), powers, rates)
+
+
+def _search(cfg: SimConfig, build, run) -> ErrorStats:
+    """Best-of-budget lattice selection. `build(cand)` returns the candidate's
+    codebooks or None to skip it; `run(cand, books)` returns its ErrorStats.
+    The first candidate with the fewest block errors wins."""
+    best = None
+    tried = 0
+    for cand in range(cfg.search_budget):
+        books = build(cand)
+        if books is None:
+            continue
+        tried += 1
+        stats = run(cand, books)
+        if best is None or stats.block_errors < best.block_errors:
+            best = stats
+    if best is None:
+        raise ConfigError("no candidate lattice met the codebook cardinality target")
+    best.meta["candidates_run"] = tried
+    return best
+
+
+def _stats(bad: np.ndarray, int_errs: list[int], msg_errs: list[int], meta: dict) -> ErrorStats:
+    """ErrorStats of a run whose per-trial block failures are `bad`."""
+    blocks = int(bad.sum())
+    T = len(bad)
+    return ErrorStats(T, int_errs, msg_errs, blocks, wilson_interval(blocks, T), meta)
+
+
+def _layers_meta(books: list[Codebook]) -> list[dict]:
+    return [
+        {"p": b.lattice.p, "k": b.lattice.code.k, "gamma": b.lattice.gamma, "words": len(b)}
+        for b in books
+    ]
 
 
 def _batched_nearest(lat: Lattice, ys: np.ndarray) -> np.ndarray:
@@ -259,184 +300,123 @@ def _nearest_rows(cands: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_sums(words: np.ndarray) -> np.ndarray | None:
-    """Distinct values of w_j + w_k over unordered pairs with repetition, or
-    None when the sumset is too large to enumerate."""
+def _pair_sums(words: np.ndarray, scale: float) -> np.ndarray | None:
+    """`scale` times the distinct values of w_j + w_k over unordered pairs
+    with repetition, or None when the sumset is too large to enumerate."""
     m = len(words)
     if m * (m + 1) // 2 > _MAX_RESTRICTED_ROWS:
         return None
     iu = np.triu_indices(m)
     sums = words[iu[0]] + words[iu[1]]
-    return np.unique(np.round(sums, 9), axis=0)
+    return scale * np.unique(np.round(sums, 9), axis=0)
 
 
 def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=1) > _MATCH_TOL
 
 
+def _decode_aggregate(
+    sums: np.ndarray | None, lattice: Lattice, shift: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Decode an aggregate interference point: the nearest point of the
+    enumerated sumset when it is small enough to list, else the nearest
+    point of the aggregate lattice moved by the aggregate shift."""
+    if sums is not None:
+        return _nearest_rows(sums, ys)
+    return _batched_nearest(lattice, ys - shift) + shift
+
+
+_STRONG_ORDER = ("interference", "message")
+_WEAK_ORDER = ("message", "interference")
+
+
 def _run_symmetric_candidate(
     cfg: SimConfig,
     cand: int,
     books: list[Codebook],
-    order: str,
+    order: tuple[str, str],
 ) -> ErrorStats:
     """Full run at receiver 1 for one candidate codebook set.
 
-    Layers are decoded sequentially; with the genie flag the true value is
-    fed forward after a stage error so per-stage statistics stay clean.
+    Layers are decoded sequentially, each as the stage pair in `order`; with
+    the genie flag the true value is fed forward after a stage error so
+    per-stage statistics stay clean.
     """
     a = float(cfg.a)
-    N = len(books)
-    T = cfg.trials
-    n = cfg.n
+    T, n = cfg.trials, cfg.n
     # one message stream per layer, so genie-mode stage statistics do not
-    # depend on the other layers' codebook sizes
-    msgs = np.stack(
-        [
-            _stream(cfg.master_seed, _MSG, cand, i).integers(0, len(books[i]), size=(T, 3))
-            for i in range(N)
-        ],
-        axis=2,
-    )  # (T, 3, N)
-    words = [books[i].words for i in range(N)]
-    x = [np.zeros((T, n)) for _ in range(3)]
-    for u in range(3):
-        for i in range(N):
-            x[u] += words[i][msgs[:, u, i]]
+    # depend on the other layers' codebook sizes; columns are the 3 users
+    msgs = [
+        _stream(cfg.master_seed, _MSG, cand, i).integers(0, len(b), size=(T, 3))
+        for i, b in enumerate(books)
+    ]
+    x = [sum(b.words[m[:, u]] for b, m in zip(books, msgs)) for u in range(3)]
     z = _stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
-    y = x[0] + a * (x[1] + x[2]) + math.sqrt(cfg.sigma2) * z
+    resid = receive(symmetric_channel(a), 0, x, math.sqrt(cfg.sigma2) * z)
 
-    int_errs = [0] * N
-    msg_errs = [0] * N
+    int_errs, msg_errs = [], []
     block_bad = np.zeros(T, dtype=bool)
-    resid = y.copy()
-    for i in range(N):
-        cb = books[i]
-        w_own = words[i][msgs[:, 0, i]]
-        agg_true = a * (words[i][msgs[:, 1, i]] + words[i][msgs[:, 2, i]])
-        agg_shift = 2.0 * a * cb.shift
-        sums = _pair_sums(words[i])
-
-        def decode_interference():
-            # aggregate of two shifted codewords lies on the a-scaled lattice
-            # shifted by twice the (scaled) codebook shift; restrict to the
-            # shaping sumset when it is small enough to enumerate
-            if sums is not None:
-                dec = _nearest_rows(a * sums, resid)
+    for cb, m in zip(books, msgs):
+        w = cb.words
+        truth = {"interference": a * (w[m[:, 1]] + w[m[:, 2]]), "message": w[m[:, 0]]}
+        # the aggregate of two shifted codewords lies on the a-scaled lattice
+        # shifted by twice the (scaled) codebook shift
+        sums = _pair_sums(w, a)
+        bad = {}
+        for stage in order:
+            if stage == "interference":
+                dec = _decode_aggregate(sums, scale_lattice(cb.lattice, a), 2.0 * a * cb.shift, resid)
             else:
-                lat_a = scale_lattice(cb.lattice, a)
-                dec = _batched_nearest(lat_a, resid - agg_shift) + agg_shift
-            bad = _rows_differ(dec, agg_true)
-            return dec, bad
+                dec = _nearest_rows(w, resid)
+            bad[stage] = _rows_differ(dec, truth[stage])
+            resid = resid - (truth[stage] if cfg.genie else dec)
+        int_errs.append(int(bad["interference"].sum()))
+        msg_errs.append(int(bad["message"].sum()))
+        block_bad |= bad["message"]
+    return _stats(block_bad, int_errs, msg_errs, {"candidate": cand, "layers": _layers_meta(books)})
 
-        def decode_message():
-            dec = _nearest_rows(words[i], resid)
-            bad = _rows_differ(dec, w_own)
-            return dec, bad
 
-        if order == "interference-first":
-            dec_i, bad_i = decode_interference()
-            resid = resid - (agg_true if cfg.genie else dec_i)
-            dec_m, bad_m = decode_message()
-            resid = resid - (w_own if cfg.genie else dec_m)
-        else:
-            dec_m, bad_m = decode_message()
-            resid = resid - (w_own if cfg.genie else dec_m)
-            dec_i, bad_i = decode_interference()
-            resid = resid - (agg_true if cfg.genie else dec_i)
-        int_errs[i] = int(bad_i.sum())
-        msg_errs[i] = int(bad_m.sum())
-        block_bad |= bad_m
+def _check_scheme(cfg: SimConfig, scheme: str) -> None:
+    cfg.validate()
+    if cfg.scheme != scheme:
+        raise ConfigError(f"config scheme must be {scheme}")
 
-    blocks = int(block_bad.sum())
-    return ErrorStats(
-        trials=T,
-        per_stage_interference_errors=int_errs,
-        per_stage_message_errors=msg_errs,
-        block_errors=blocks,
-        wilson_interval=wilson_interval(blocks, T),
-        meta={
-            "candidate": cand,
-            "layers": [
-                {"p": b.lattice.p, "k": b.lattice.code.k, "gamma": b.lattice.gamma, "words": len(b)}
-                for b in books
-            ],
-        },
+
+def _search_symmetric(cfg: SimConfig, powers, rates, order: tuple[str, str]) -> ErrorStats:
+    return _search(
+        cfg,
+        lambda cand: _layer_codebooks(cfg, cand, powers, rates),
+        lambda cand, books: _run_symmetric_candidate(cfg, cand, books, order),
     )
-
-
-def _best_of_candidates(cfg: SimConfig, powers, rates, order: str) -> ErrorStats:
-    best = None
-    tried = 0
-    for cand in range(cfg.search_budget):
-        books = _layer_codebooks(cfg, cand, powers, rates)
-        if books is None:
-            continue
-        tried += 1
-        stats = _run_symmetric_candidate(cfg, cand, books, order)
-        if best is None or stats.block_errors < best.block_errors:
-            best = stats
-    if best is None:
-        raise ConfigError(
-            "no candidate lattice met the codebook cardinality target"
-        )
-    best.meta["candidates_run"] = tried
-    return best
 
 
 def simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
     """Single-user AWGN run: y = x + z, nearest-point decoding restricted to
     the shaping sphere; best-of-budget lattice selection."""
-    cfg.validate()
-    if cfg.scheme != "p2p":
-        raise ConfigError("config scheme must be p2p")
-    best = None
-    tried = 0
-    for cand in range(cfg.search_budget):
-        books = _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]])
-        if books is None:
-            continue
-        tried += 1
+    _check_scheme(cfg, "p2p")
+
+    def run(cand, books):
         cb = books[0]
-        T, n = cfg.trials, cfg.n
-        msgs = _stream(cfg.master_seed, _MSG, cand).integers(0, len(cb), size=T)
+        msgs = _stream(cfg.master_seed, _MSG, cand).integers(0, len(cb), size=cfg.trials)
         x = cb.words[msgs]
-        z = _stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
+        z = _stream(cfg.master_seed, _NOISE, cand).normal(size=x.shape)
+        # no interferers: the receiver model reduces to y = x + z
         y = x + math.sqrt(cfg.sigma2) * z
         dec = _batched_nearest(cb.lattice, y - cb.shift) + cb.shift
         bad = _rows_differ(dec, x)
         # a nearest point outside the shaping sphere is a decoding failure
-        bad |= np.sum(dec**2, axis=1) > n * cfg.power + 1e-9
-        blocks = int(bad.sum())
-        stats = ErrorStats(
-            trials=T,
-            per_stage_interference_errors=[0],
-            per_stage_message_errors=[blocks],
-            block_errors=blocks,
-            wilson_interval=wilson_interval(blocks, T),
-            meta={
-                "candidate": cand,
-                "layers": [
-                    {"p": cb.lattice.p, "k": cb.lattice.code.k, "gamma": cb.lattice.gamma, "words": len(cb)}
-                ],
-            },
-        )
-        if best is None or stats.block_errors < best.block_errors:
-            best = stats
-    if best is None:
-        raise ConfigError("no candidate lattice met the codebook cardinality target")
-    best.meta["candidates_run"] = tried
-    return best
+        bad |= np.sum(dec**2, axis=1) > cfg.n * cfg.power + 1e-9
+        return _stats(bad, [0], [int(bad.sum())], {"candidate": cand, "layers": _layers_meta(books)})
+
+    return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)
 
 
 def simulate_very_strong_symmetric(cfg: SimConfig) -> ErrorStats:
     """Single-layer symmetric run: all users share one codebook, each
     receiver decodes the aggregate interference on the a-scaled lattice,
     subtracts it, then decodes its own codeword."""
-    cfg.validate()
-    if cfg.scheme != "very-strong-sym":
-        raise ConfigError("config scheme must be very-strong-sym")
-    return _best_of_candidates(cfg, [cfg.power], [cfg.rates[0]], "interference-first")
+    _check_scheme(cfg, "very-strong-sym")
+    return _search_symmetric(cfg, [cfg.power], [cfg.rates[0]], _STRONG_ORDER)
 
 
 def simulate_layered_symmetric(cfg: SimConfig) -> ErrorStats:
@@ -446,25 +426,23 @@ def simulate_layered_symmetric(cfg: SimConfig) -> ErrorStats:
     weak regime the reverse. Per-layer rates must not exceed the per-stage
     ceilings.
     """
-    cfg.validate()
-    if cfg.scheme != "layered-sym":
-        raise ConfigError("config scheme must be layered-sym")
+    _check_scheme(cfg, "layered-sym")
     a2 = cfg.a**2
     alloc = layered_allocation_symmetric(a2, cfg.N)
     powers = list(alloc.powers)
     if alloc.regime == "strong":
         r_int, r_msg = stage_constraints_strong(a2, powers)
         ceil = np.minimum(r_int, r_msg)
-        order = "interference-first"
+        order = _STRONG_ORDER
     else:
         ceil = alloc.rates
-        order = "message-first"
+        order = _WEAK_ORDER
     for i, r in enumerate(cfg.rates):
         if r > ceil[i] + 1e-12:
             raise ConfigError(
                 f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}"
             )
-    return _best_of_candidates(cfg, powers, list(cfg.rates), order)
+    return _search_symmetric(cfg, powers, list(cfg.rates), order)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +483,7 @@ def align_interference_lattices(
 def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
     """Nonsymmetric single-layer run at receiver 1 with aligned per-user
     lattices; interference decoded as one aggregate point on h13*L3."""
-    cfg.validate()
-    if cfg.scheme != "very-strong-general":
-        raise ConfigError("config scheme must be very-strong-general")
-    from .channel import class_h1_membership
-
+    _check_scheme(cfg, "very-strong-general")
     h = np.array(cfg.h, dtype=float)
     witness = class_h1_membership(h)
     if witness is None:
@@ -521,75 +495,43 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         raise ConfigError("no very-strong condition set holds for this config")
 
     n, T = cfg.n, cfg.trials
-    best = None
-    tried = 0
-    for cand in range(cfg.search_budget):
-        # base lattice scaled so every user's codebook can meet its target
-        pairs = _candidate_params(n, max(cfg.rates))
-        p_mod, k = pairs[cand % len(pairs)]
-        probe = design_lattice(n, 1.0, 0.0, p_mod, k, _stream(cfg.master_seed, _CODE, cand, 0))
-        f1 = abs(witness[1] * h[1, 2] / h[1, 0])
-        f2 = abs(witness[0] * h[0, 2] / h[0, 1])
-        factors = [f1, f2, 1.0]
-        gammas = []
-        for j in range(3):
-            vol = sphere_volume(n, math.sqrt(n * cfg.powers[j])) / 2.0 ** (n * cfg.rates[j])
-            gammas.append((vol / p_mod ** (n - k)) ** (1.0 / n) / factors[j])
-        base = Lattice(probe.code, 0.98 * min(gammas))
-        l1, l2, l3 = align_interference_lattices(ch, base)
-        lats = [l1, l2, l3]
-        books = []
-        for j in range(3):
-            cb = build_codebook(
-                lats[j],
-                cfg.powers[j],
-                cfg.rates[j],
-                shift_trials=cfg.shift_trials,
-                seed=_stream(cfg.master_seed, _SHIFT, cand, j),
-            )
-            if not cb.target_met:
-                books = None
-                break
-            books.append(cb)
-        if books is None:
-            continue
-        tried += 1
+    pairs = _candidate_params(n, max(cfg.rates))
+    factors = [abs(witness[1] * h[1, 2] / h[1, 0]), abs(witness[0] * h[0, 2] / h[0, 1]), 1.0]
 
+    def build(cand):
+        # base lattice scaled so every user's codebook can meet its target
+        p_mod, k = pairs[cand % len(pairs)]
+        code = make_linear_code(n, k, p_mod, _stream(cfg.master_seed, _CODE, cand, 0))
+        gammas = [
+            (sphere_volume(n, math.sqrt(n * P)) / 2.0 ** (n * R) / p_mod ** (n - k)) ** (1.0 / n) / f
+            for P, R, f in zip(cfg.powers, cfg.rates, factors)
+        ]
+        lats = align_interference_lattices(ch, Lattice(code, 0.98 * min(gammas)))
+        return _codebooks(cfg, cand, lats, cfg.powers, cfg.rates)
+
+    def run(cand, books):
         rng_msg = _stream(cfg.master_seed, _MSG, cand)
-        msgs = [rng_msg.integers(0, len(books[j]), size=T) for j in range(3)]
-        xs = [books[j].words[msgs[j]] for j in range(3)]
+        xs = [b.words[rng_msg.integers(0, len(b), size=T)] for b in books]
         z = _stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
-        y = xs[0] + h[0, 1] * xs[1] + h[0, 2] * xs[2] + math.sqrt(sig[0]) * z
+        y = receive(ch, 0, xs, math.sqrt(sig[0]) * z)
 
         agg_true = h[0, 1] * xs[1] + h[0, 2] * xs[2]
         agg_shift = h[0, 1] * books[1].shift + h[0, 2] * books[2].shift
+        sums = None
         if len(books[1]) * len(books[2]) <= _MAX_RESTRICTED_ROWS:
-            pairs = (
-                h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
-            ).reshape(-1, n)
-            dec_i = _nearest_rows(np.unique(np.round(pairs, 9), axis=0), y)
-        else:
-            agg_lat = scale_lattice(base, h[0, 2])  # h12*L2 + h13*L3 lies on h13*L3
-            dec_i = _batched_nearest(agg_lat, y - agg_shift) + agg_shift
+            grid = h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
+            sums = np.unique(np.round(grid.reshape(-1, n), 9), axis=0)
+        # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
+        agg_lat = scale_lattice(books[2].lattice, h[0, 2])
+        dec_i = _decode_aggregate(sums, agg_lat, agg_shift, y)
         bad_i = _rows_differ(dec_i, agg_true)
-        resid = y - (agg_true if cfg.genie else dec_i)
-        dec_m = _nearest_rows(books[0].words, resid)
+        dec_m = _nearest_rows(books[0].words, y - (agg_true if cfg.genie else dec_i))
         bad_m = _rows_differ(dec_m, xs[0])
-        blocks = int(bad_m.sum())
-        stats = ErrorStats(
-            trials=T,
-            per_stage_interference_errors=[int(bad_i.sum())],
-            per_stage_message_errors=[blocks],
-            block_errors=blocks,
-            wilson_interval=wilson_interval(blocks, T),
-            meta={"candidate": cand, "condition_set": check[1]},
+        return _stats(
+            bad_m, [int(bad_i.sum())], [int(bad_m.sum())], {"candidate": cand, "condition_set": check[1]}
         )
-        if best is None or stats.block_errors < best.block_errors:
-            best = stats
-    if best is None:
-        raise ConfigError("no candidate lattice met the codebook cardinality target")
-    best.meta["candidates_run"] = tried
-    return best
+
+    return _search(cfg, build, run)
 
 
 def run_simulation(cfg: SimConfig) -> ErrorStats:

@@ -11,6 +11,7 @@ from latticeic.channel import (
     channel_from_json,
     check_power,
     class_h1_membership,
+    receive,
     symmetric_channel,
     transmit,
 )
@@ -142,6 +143,18 @@ class TestTransmit:
         for j in range(3):
             want = alpha * (ya[j] - noise[j]) + beta * (yb[j] - noise[j]) + noise[j]
             assert np.allclose(mixed[j], want, atol=1e-12)
+
+    def test_batched_receive_matches_transmit_rows(self):
+        h = matrix_with_cross(h12=2.0, h13=-0.5, h21=3.0, h23=1.5, h31=0.25, h32=4.0)
+        ch = ChannelMatrix3(h)
+        rng = np.random.default_rng(4)
+        xs = rng.normal(size=(3, 7, 5))  # (user, T, n)
+        for j in range(3):
+            batched = receive(ch, j, xs, 0.0)
+            assert batched.shape == (7, 5)
+            for t in range(7):
+                rows = transmit(ch, *xs[:, t], noise_seed=0, sigma2=0.0)
+                assert np.array_equal(batched[t], rows[j])
 
 
 class TestCheckPower:

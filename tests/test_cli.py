@@ -188,3 +188,41 @@ class TestDofNonsym:
         out = tmp_path / "d.csv"
         argv = ["dof-nonsym", "--a1", "1", "--a2", "2", "--a3", "2", "--out", str(out)]
         assert main(argv) == EXIT_VALIDATION
+
+
+class TestBadInputs:
+    """Each bad input exits 2 with a one-line `error:` message, no traceback."""
+
+    def assert_validation_error(self, argv, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def write_matrix(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"h": [[1, 2, 2], [2, 1, 2], [2, 2, 1]]}))
+        return path
+
+    def test_align_check_two_powers(self, tmp_path, capsys):
+        mat = self.write_matrix(tmp_path)
+        argv = ["align-check", "--matrix-file", str(mat), "--powers", "3,3", "--out", str(tmp_path / "r.json")]
+        self.assert_validation_error(argv, capsys)
+
+    def test_align_check_four_noises(self, tmp_path, capsys):
+        mat = self.write_matrix(tmp_path)
+        argv = [
+            "align-check", "--matrix-file", str(mat), "--powers", "3,3,3",
+            "--noises", "1,1,1,1", "--out", str(tmp_path / "r.json"),
+        ]
+        self.assert_validation_error(argv, capsys)
+
+    def test_missing_matrix_file(self, tmp_path, capsys):
+        argv = ["align-check", "--matrix-file", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.json")]
+        self.assert_validation_error(argv, capsys)
+
+    def test_missing_config(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run.jsonl")]
+        self.assert_validation_error(argv, capsys)
+
+    def test_missing_replay_manifest(self, tmp_path, capsys):
+        self.assert_validation_error(["replay", str(tmp_path / "absent.manifest.json")], capsys)

@@ -1,5 +1,6 @@
 """Monte Carlo simulator: configuration, determinism and decoding behavior."""
 
+import hashlib
 import json
 import math
 
@@ -274,3 +275,50 @@ class TestAlignment:
             w2, w3 = cb.words[rng.integers(0, len(cb), size=2)]
             assert is_lattice_point(lat, w2 + w3 - 2 * cb.shift, tol=1e-9)
             assert is_lattice_point(lat_a, a * (w2 + w3 - 2 * cb.shift), tol=1e-9)
+
+
+# Short runs covering every scheme and both interference decoders.
+# Each digest is the SHA-256 of the result line followed by the sorted-key
+# JSON of `meta`; any change to either is a change in simulator output.
+PINNED = {
+    # shift_trials=1 makes some candidates miss their codebook size
+    "p2p": (
+        dict(scheme="p2p", n=6, master_seed=1, rates=[1.0], power=15.0, search_budget=4, shift_trials=1),
+        "5f24cc97e4e8e7af7257e3028ae788cc0f1ba3ac29b3ce8cffdb0c0798947d90",
+    ),
+    "very-strong-sym-restricted": (
+        dict(scheme="very-strong-sym", n=6, master_seed=2, rates=[0.6], power=3.0, a=2.0, search_budget=4, shift_trials=1),
+        "e3bf91504ce98ca8b13cd0d127dc5e670db6b29c58720cb33ae761c9facf1ec8",
+    ),
+    # 1039 words: the pair sumset is too large, so the full lattice decodes
+    "very-strong-sym-fallback": (
+        dict(scheme="very-strong-sym", n=4, master_seed=3, rates=[2.5], power=63.0, a=9.0, search_budget=2),
+        "ed456ecf4ca483a2047a308b4f78b53460b51be53fadb8f3f89f6d6ab50e2bd6",
+    ),
+    "layered-sym-strong": (
+        dict(scheme="layered-sym", n=6, master_seed=4, rates=[0.3, 0.3, 0.3], a=2.0, N=3, search_budget=2),
+        "c1116db908c7c3a468a70f70b6834550bec2e1d1de3ad24340622726bc0f4e1c",
+    ),
+    "layered-sym-strong-genie": (
+        dict(scheme="layered-sym", n=4, master_seed=9, rates=[0.2, 0.25], a=math.sqrt(3.0), N=2, search_budget=2, genie=True),
+        "c6dfdcbfdfe190dd4787cbbe101712fd132c066af07b09b167e3a3cee8f143b5",
+    ),
+    "layered-sym-weak": (
+        dict(scheme="layered-sym", n=6, master_seed=5, rates=[0.2, 0.2], a=0.5, N=2, search_budget=2),
+        "d4d17250aebbb198df0147af5a83eb088c39ef38ebc32766f2938d9331d2afb9",
+    ),
+    "very-strong-general": (
+        dict(scheme="very-strong-general", n=6, master_seed=6, rates=[0.5] * 3, powers=[3.0] * 3,
+             h=[[1, 6, 9], [12, 1, 6], [9, 12, 1]], search_budget=3),
+        "219da2b670f78eec47e595a1b4f6a714413e08ce6e9a6e13ad39d4ead8981c01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_pinned(name):
+    kw, digest = PINNED[name]
+    cfg = SimConfig(trials=200, **kw)
+    stats = run_simulation(cfg)
+    blob = stats.to_json_line(cfg) + json.dumps(stats.meta, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
