@@ -17,6 +17,8 @@ import numpy as np
 # Exhaustive decoding scans one candidate per codeword coset; this caps the
 # supported desk scale (n <= 10, p <= 13 with moderate k).
 MAX_COSETS = 2_000_000
+# Shaping enumeration refuses to expand a frontier beyond this many points.
+MAX_SPHERE_POINTS = 2_000_000
 
 
 def is_prime(p: int) -> bool:
@@ -118,6 +120,15 @@ class LinearCode:
         words = (coeffs @ self.generators) % self.p
         return np.unique(words, axis=0)
 
+    @cached_property
+    def _onehot(self) -> np.ndarray:
+        """Shape (n*p, p**k): column c has a 1 at row i*p + codewords[c, i]."""
+        words = self.codewords
+        onehot = np.zeros((self.n * self.p, len(words)))
+        rows = np.arange(self.n) * self.p + words
+        onehot[rows, np.arange(len(words))[:, None]] = 1.0
+        return onehot
+
 
 def make_linear_code(n: int, k: int, p: int, seed) -> LinearCode:
     """Sample a random (n, k) code over Z_p with independent generators.
@@ -184,16 +195,29 @@ def is_lattice_point(lat: Lattice, w, tol: float = 1e-9) -> bool:
     return lat.code.contains(v % lat.p)
 
 
-def _nearest_integer_vectors(u: np.ndarray, cosets: np.ndarray, p: int) -> np.ndarray:
-    """Per coset c, the integer vector in c + p*Z^n closest to u.
+def _coset_table(lat: Lattice, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, coordinate and residue r, the integer in r + p*Z nearest to
+    ys/gamma (shape (T, n, p); exact ties take the smaller integer), and the
+    squared distance from each row to every coset (shape (T, p**k)).
 
-    Separable per coordinate; exact ties take the smaller integer so the
-    overall tie-break is lexicographic.
+    The distance separates by coordinate, so one product of the per-entry
+    distances with the codewords' one-hot matrix sums it for all cosets
+    (Conway & Sloane, IEEE Trans. IT 1982).
     """
-    t = (u[None, :] - cosets) / p
+    u = ys / lat.gamma
+    residues = np.arange(lat.p, dtype=float)
+    t = (u[:, :, None] - residues) / lat.p
     f = np.floor(t)
     z = np.where(t - f <= 0.5, f, f + 1.0)
-    return cosets + p * z
+    cands = residues + lat.p * z
+    dist = (u[:, :, None] - cands) ** 2
+    return cands, dist.reshape(len(ys), lat.n * lat.p) @ lat.code._onehot
+
+
+def _coset_points(cands: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Integer vectors of the given codeword cosets from a (T, n, p) table;
+    words is (T, n), or (m, n) against a single-row table."""
+    return np.take_along_axis(cands, words[:, :, None], axis=2)[:, :, 0]
 
 
 def nearest_point(lat: Lattice, y) -> np.ndarray:
@@ -207,27 +231,19 @@ def nearest_point(lat: Lattice, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (lat.n,):
         raise ValueError(f"dimension mismatch: {y.shape} vs ({lat.n},)")
-    u = y / lat.gamma
-    cands = _nearest_integer_vectors(u, lat.code.codewords.astype(float), lat.p)
-    d2 = np.sum((u[None, :] - cands) ** 2, axis=1)
-    best = d2.min()
-    tied = cands[d2 == best]
-    v = min(map(tuple, tied.astype(np.int64)))
+    cands, d2 = _coset_table(lat, y[None, :])
+    tied = lat.code.codewords[d2[0] == d2[0].min()]
+    v = min(map(tuple, _coset_points(cands, tied)))
     return lat.gamma * np.array(v, dtype=float)
 
 
 def nearest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
-    """Vectorized nearest_point over the rows of ys (trials, n)."""
+    """Vectorized nearest_point over the rows of ys (trials, n); exact ties
+    take the first coset in codeword order."""
     ys = np.asarray(ys, dtype=float)
-    u = ys / lat.gamma
-    cosets = lat.code.codewords.astype(float)
-    t = (u[:, None, :] - cosets[None, :, :]) / lat.p
-    f = np.floor(t)
-    z = np.where(t - f <= 0.5, f, f + 1.0)
-    cands = cosets[None, :, :] + lat.p * z
-    d2 = np.sum((u[:, None, :] - cands) ** 2, axis=2)
-    idx = np.argmin(d2, axis=1)
-    return lat.gamma * cands[np.arange(len(ys)), idx]
+    cands, d2 = _coset_table(lat, ys)
+    words = lat.code.codewords[np.argmin(d2, axis=1)]
+    return lat.gamma * _coset_points(cands, words)
 
 
 def scale_lattice(lat: Lattice, c: float) -> Lattice:
@@ -264,36 +280,42 @@ class Codebook:
 
 
 def _enumerate_shifted_sphere(lat: Lattice, shift: np.ndarray, power: float) -> np.ndarray:
-    """All points of (lat + shift) with squared norm <= n * power."""
+    """All points of (lat + shift) with squared norm <= n * power, ordered by
+    (coset, z_0, ..., z_{n-1}) where point = gamma*c + shift + gamma*p*z.
+
+    Breadth-first over the coordinates, all cosets at once: each prefix is
+    expanded into its ascending z-range and kept while its norm fits.
+    Raises ValueError before a level would exceed MAX_SPHERE_POINTS.
+    """
     n, p, gamma = lat.n, lat.p, lat.gamma
     r2 = n * power
     step = gamma * p
-    words: list[np.ndarray] = []
-    buf = np.empty(n)
-
-    for c in lat.code.codewords:
-        base = gamma * c + shift  # DFS over z: point = base + step * z
-
-        def dfs(i: int, used: float):
-            if i == n:
-                words.append(buf.copy())
-                return
-            rem = r2 - used
-            if rem < 0:
-                return
-            half = math.sqrt(rem)
-            lo = math.ceil((-half - base[i]) / step)
-            hi = math.floor((half - base[i]) / step)
-            for z in range(lo, hi + 1):
-                w = base[i] + step * z
-                if used + w * w <= r2:
-                    buf[i] = w
-                    dfs(i + 1, used + w * w)
-
-        dfs(0, 0.0)
-    if not words:
-        return np.zeros((0, n))
-    return np.array(words)
+    bases = gamma * lat.code.codewords + shift
+    owner = np.arange(len(bases))  # coset of each prefix
+    used = np.zeros(len(bases))  # squared norm of each prefix
+    words = np.zeros((len(bases), 0))
+    for i in range(n):
+        b = bases[owner, i]
+        half = np.sqrt(r2 - used)
+        lo = np.ceil((-half - b) / step)
+        counts = np.maximum(np.floor((half - b) / step) - lo + 1, 0)
+        total = counts.sum()
+        if not total <= MAX_SPHERE_POINTS:
+            raise ValueError(
+                f"shaping sphere needs over {MAX_SPHERE_POINTS} candidate points "
+                f"(n={n}, power={power}, p={p}, gamma={gamma:g})"
+            )
+        counts = counts.astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        z = lo[parent] + (np.arange(int(total)) - first[parent])
+        w = b[parent] + step * z
+        u = used[parent] + w * w
+        keep = u <= r2
+        parent = parent[keep]
+        owner, used = owner[parent], u[keep]
+        words = np.column_stack((words[parent], w[keep]))
+    return words
 
 
 def build_codebook(

@@ -74,6 +74,10 @@ class SimConfig:
             raise ConfigError("trials must be >= 100")
         if self.sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
+        if self.sigma2s is not None and (
+            len(self.sigma2s) != 3 or any(s <= 0 for s in self.sigma2s)
+        ):
+            raise ConfigError("sigma2s must hold 3 positive per-receiver noise powers")
         if self.search_budget < 1 or self.shift_trials < 1:
             raise ConfigError("search budget and shift trials must be >= 1")
         if not self.rates or any(r < 0 for r in self.rates):

@@ -226,3 +226,20 @@ class TestBadInputs:
 
     def test_missing_replay_manifest(self, tmp_path, capsys):
         self.assert_validation_error(["replay", str(tmp_path / "absent.manifest.json")], capsys)
+
+    def write_config(self, tmp_path, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_oversized_codebook_refused(self, tmp_path, capsys):
+        # a 2**80-word target: the shaping enumeration refuses before it runs away
+        cfg = self.write_config(tmp_path, dict(scheme="p2p", n=4, trials=100, master_seed=0, rates=[20], power=3.0))
+        self.assert_validation_error(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")], capsys)
+
+    def test_two_sigma2s(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, dict(
+            scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.3] * 3,
+            powers=[3.0] * 3, h=[[1, 4, 4], [4, 1, 4], [4, 4, 1]], sigma2s=[1.0, 1.0],
+        ))
+        self.assert_validation_error(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")], capsys)

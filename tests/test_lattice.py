@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticeic.lattice import (
+    MAX_SPHERE_POINTS,
     Codebook,
     Lattice,
     LinearCode,
@@ -23,6 +26,7 @@ from latticeic.lattice import (
     nearest_point,
     nearest_points_batch,
     scale_lattice,
+    _enumerate_shifted_sphere,
 )
 
 
@@ -334,3 +338,104 @@ class TestSerialization:
         assert doc["n"] == 2 and doc["p"] == 5 and doc["k"] == 1
         assert doc["power"] == 6.0
         assert len(doc["shift"]) == 2
+
+
+def reference_nearest_batch(lat, ys):
+    """Reference decoder: every coset's candidate broadcast at once, first
+    coset on ties."""
+    u = ys / lat.gamma
+    cosets = lat.code.codewords.astype(float)
+    t = (u[:, None, :] - cosets[None, :, :]) / lat.p
+    f = np.floor(t)
+    z = np.where(t - f <= 0.5, f, f + 1.0)
+    cands = cosets[None, :, :] + lat.p * z
+    d2 = np.sum((u[:, None, :] - cands) ** 2, axis=2)
+    idx = np.argmin(d2, axis=1)
+    return lat.gamma * cands[np.arange(len(ys)), idx]
+
+
+def reference_enumeration(lat, shift, power):
+    """Reference enumeration: depth-first per coset, ascending z per coordinate."""
+    n, p, gamma = lat.n, lat.p, lat.gamma
+    r2 = n * power
+    step = gamma * p
+    words = []
+    buf = np.empty(n)
+    for c in lat.code.codewords:
+        base = gamma * c + shift
+
+        def dfs(i, used):
+            if i == n:
+                words.append(buf.copy())
+                return
+            half = math.sqrt(r2 - used)
+            lo = math.ceil((-half - base[i]) / step)
+            hi = math.floor((half - base[i]) / step)
+            for z in range(lo, hi + 1):
+                w = base[i] + step * z
+                if used + w * w <= r2:
+                    buf[i] = w
+                    dfs(i + 1, used + w * w)
+
+        dfs(0, 0.0)
+    return np.array(words).reshape(-1, n)
+
+
+# cosets times rows times n stays small enough for the broadcast reference
+MAX_REFERENCE_COSETS = 4000
+
+
+def reference_lattice(n, p, k, seed, gamma):
+    while p**k > MAX_REFERENCE_COSETS:
+        k -= 1
+    return construction_a(make_linear_code(n, k, p, seed), gamma)
+
+
+lattice_params = dict(
+    n=st.integers(2, 10),
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    k_frac=st.floats(0, 1, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.2, 3.0),
+)
+
+
+class TestReferenceEquality:
+    """The coset-table decoder and the frontier enumeration reproduce the
+    broadcast decoder and the depth-first enumeration bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(0, 200), scale=st.floats(0.1, 10.0), **lattice_params)
+    @example(n=3, p=5, k_frac=0.0, seed=0, gamma=1.0, rows=50, scale=4.0)
+    @example(n=4, p=7, k_frac=0.5, seed=1, gamma=0.7, rows=0, scale=1.0)
+    def test_decoded_points(self, n, p, k_frac, seed, gamma, rows, scale):
+        lat = reference_lattice(n, p, int(k_frac * n), seed, gamma)
+        ys = np.random.default_rng(seed).normal(scale=scale * gamma * p, size=(rows, n))
+        assert np.array_equal(nearest_points_batch(lat, ys), reference_nearest_batch(lat, ys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.floats(0.0, 300.0), **lattice_params)
+    @example(n=3, p=5, k_frac=0.0, seed=0, gamma=1.0, points=20.0)
+    @example(n=5, p=3, k_frac=0.5, seed=2, gamma=1.5, points=0.0)
+    def test_enumerated_words_in_order(self, n, p, k_frac, seed, gamma, points):
+        lat = reference_lattice(n, p, int(k_frac * n), seed, gamma)
+        shift = np.random.default_rng(seed).uniform(0, gamma * p, size=n)
+        # the power whose sphere holds about `points` lattice points
+        volume = fundamental_volume(lat) * points * math.gamma(n / 2 + 1) / math.pi ** (n / 2)
+        power = max(volume ** (2 / n) / n, 1e-9)
+        got = _enumerate_shifted_sphere(lat, shift, power)
+        want = reference_enumeration(lat, shift, power)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_empty_codebook(self):
+        lat = construction_a(make_linear_code(4, 2, 7, seed=3), 1.0)
+        shift = np.full(4, 3.5)
+        got = _enumerate_shifted_sphere(lat, shift, 1e-6)
+        assert got.shape == (0, 4)
+        assert np.array_equal(got, reference_enumeration(lat, shift, 1e-6))
+
+    def test_point_cap(self):
+        lat = construction_a(zero_code(4, 2), 0.01)
+        with pytest.raises(ValueError, match=str(MAX_SPHERE_POINTS)):
+            _enumerate_shifted_sphere(lat, np.zeros(4), 3.0)
