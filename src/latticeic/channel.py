@@ -83,11 +83,21 @@ def channel_from_json(text: str) -> ChannelMatrix3:
     return ChannelMatrix3(h, h1_witness=witness)
 
 
-def noise_rng(master_seed, receiver: int) -> np.random.Generator:
-    """Counter-based per-receiver noise stream, reproducible and mutually
-    independent across receivers for a fixed master seed."""
-    ss = np.random.SeedSequence((int(master_seed) & (2**63 - 1), receiver))
+def keyed_stream(master_seed, *key: int) -> np.random.Generator:
+    """Counter-based random stream for (master_seed, *key), reproducible and
+    mutually independent across keys for a fixed master seed."""
+    ss = np.random.SeedSequence((int(master_seed) & (2**63 - 1),) + key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def alignment_factors(ch: ChannelMatrix3) -> tuple[float, float, float]:
+    """Scale factors (f1, f2, f3) of the aligned lattices f_k * L from the
+    witness (p, q): h12*f2 = p*h13*f3 and h21*f1 = q*h23*f3, with f3 = 1."""
+    if ch.h1_witness is None:
+        raise ValueError("channel has no rational-ratio witness")
+    p, q = ch.h1_witness
+    h = ch.h
+    return q * h[1, 2] / h[1, 0], p * h[0, 2] / h[0, 1], 1.0
 
 
 def receive(ch: ChannelMatrix3, j: int, xs, z) -> np.ndarray:
@@ -112,7 +122,7 @@ def transmit(
     sigma2: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One channel use of n dimensions at all three receivers, with noise
-    from the per-receiver streams `noise_rng(noise_seed, j)`.
+    from the per-receiver streams `keyed_stream(noise_seed, j)`.
 
     sigma2 is a test hook for the noise variance (default 1); sigma2=0
     gives the noiseless linear map.
@@ -123,7 +133,7 @@ def transmit(
         raise ValueError("transmit blocks must have equal length")
     std = float(np.sqrt(sigma2))
     return tuple(
-        receive(ch, j, xs, std * noise_rng(noise_seed, j).normal(size=n) if std > 0 else 0.0)
+        receive(ch, j, xs, std * keyed_stream(noise_seed, j).normal(size=n) if std > 0 else 0.0)
         for j in range(3)
     )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import channel_from_json
+from .channel import alignment_factors, channel_from_json
 from .rates import (
     AllocationError,
     dof_symmetric,
@@ -50,11 +51,29 @@ def _write_manifest(command: str, out: Path, params: dict, seed, outputs: list[s
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise FloatingPointError("a computed value is not finite; inputs are outside the numeric range")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
+def _check_numeric_flags(args) -> None:
+    """Every float flag is a gain, a power or a bound on a^2, so each must be
+    positive and finite; checked before any work is done."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not 0.0 < value < math.inf:
+            raise ConfigError(f"--{name.replace('_', '-')} must be a positive finite number, got {value!r}")
+
+
+def _squared_gain(flag: str, a: float) -> float:
+    """a**2, refused unless the square is finite and positive (tested on
+    a * a, which overflows to inf where a**2 raises)."""
+    if not 0.0 < a * a < math.inf:
+        raise ConfigError(f"--{flag} squared must be a positive finite number, got {a!r}")
+    return a**2
 
 
 def cmd_dof_curve(args) -> int:
@@ -85,28 +104,26 @@ def cmd_dof_curve(args) -> int:
 
 
 def cmd_sym_rate_compare(args) -> int:
-    if not (0 < args.p_min <= args.p_max) or args.steps < 1:
-        raise ConfigError("need 0 < p-min <= p-max and steps >= 1")
-    a2 = args.a**2
-    in_band = 1.0 / 3.0 < a2 < 2.0
+    if not (0 < args.p_min <= args.p_max) or args.steps < 1 or args.grid_size < 2:
+        raise ConfigError("need 0 < p-min <= p-max, steps >= 1 and grid-size >= 2")
+    a2 = _squared_gain("a", args.a)
     if args.p_min == args.p_max or args.steps == 1:
         grid = np.array([args.p_min])
     else:
         grid = np.logspace(math.log10(args.p_min), math.log10(args.p_max), args.steps)
-    oracle = lambda P, s2, g: hk_sym_rate(P, s2, g, grid_size=args.grid_size)
+    # one cache serves the lattice column's baseline calls and the R_HK column
+    oracle = functools.lru_cache(maxsize=None)(
+        lambda P, s2, g: hk_sym_rate(P, s2, g, grid_size=args.grid_size)
+    )
     rows = []
     for P in grid:
-        r_hk = hk_sym_rate(float(P), 1.0, args.a, grid_size=args.grid_size)
-        if in_band:
-            r_lat = r_hk
-        else:
-            r_lat = sym_rate_lattice(a2, float(P), hk_oracle=oracle).per_user_rates[0]
-        rows.append((float(P), r_lat, r_hk))
+        report = sym_rate_lattice(a2, float(P), hk_oracle=oracle)
+        rows.append((float(P), report.per_user_rates[0], oracle(float(P), 1.0, args.a)))
     out = Path(args.out)
     _write_csv(out, ["P", "R_lattice", "R_HK"], rows)
     warnings = (
         ["cross gain in the unsupported band 1/3 < a^2 < 2; lattice column equals the baseline"]
-        if in_band
+        if report.binding_constraint == "band-fallback"
         else []
     )
     if warnings:
@@ -130,8 +147,8 @@ def cmd_sym_rate_compare(args) -> int:
 
 def _triple(name: str, text: str) -> list[float]:
     values = [float(x) for x in text.split(",")]
-    if len(values) != 3:
-        raise ConfigError(f"--{name} needs exactly 3 comma-separated values, got {len(values)}")
+    if len(values) != 3 or not all(0.0 < v < math.inf for v in values):
+        raise ConfigError(f"--{name} needs exactly 3 comma-separated positive finite values, got {text!r}")
     return values
 
 
@@ -145,12 +162,8 @@ def cmd_align_check(args) -> int:
         raise ConfigError(f"malformed matrix file: {exc}") from exc
     report: dict = {"member": ch.h1_witness is not None, "witness": None}
     if ch.h1_witness is not None:
-        p, q = ch.h1_witness
-        report["witness"] = [p, q]
-        h = ch.h
-        f2 = p * h[0, 2] / h[0, 1]
-        f1 = q * h[1, 2] / h[1, 0]
-        report["scale_factors"] = [f1, f2, 1.0]
+        report["witness"] = list(ch.h1_witness)
+        report["scale_factors"] = list(alignment_factors(ch))
         if powers is not None:
             res = very_strong_general(ch, powers, noises)
             if res is None:
@@ -160,7 +173,7 @@ def cmd_align_check(args) -> int:
                 report["condition_set"] = idx
                 report["rates_bits_per_dim"] = list(rr.per_user_rates)
     out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     _write_manifest(
         "align-check",
         out,
@@ -176,13 +189,18 @@ def cmd_simulate(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
     known = set(SimConfig.__dataclass_fields__)
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if args.seed is not None:
         doc.setdefault("master_seed", args.seed)
-    cfg = SimConfig(**doc)
+    try:
+        cfg = SimConfig(**doc)
+    except TypeError as exc:  # a required field is missing
+        raise ConfigError(f"incomplete config: {exc}") from exc
     stats = run_simulation(cfg)
     out = Path(args.out)
     out.write_text(stats.to_json_line(cfg) + "\n")
@@ -191,7 +209,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dof_nonsym(args) -> int:
-    g2 = [args.a1**2, args.a2**2, args.a3**2]
+    g2 = [_squared_gain(flag, getattr(args, flag)) for flag in ("a1", "a2", "a3")]
     if any(x < 2.0 for x in g2):
         raise ConfigError("all squared gains must be >= 2")
     if args.n_max < 1:
@@ -232,8 +250,15 @@ def cmd_dof_nonsym(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    return main(manifest["argv"])
+    try:
+        argv = json.loads(Path(args.manifest).read_text())["argv"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed manifest: {exc!r}") from exc
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise ConfigError("manifest argv must be a list of strings")
+    if argv[:1] == ["replay"]:
+        raise ConfigError("a manifest whose command is itself a replay cannot be replayed")
+    return main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,6 +323,7 @@ def main(argv=None) -> int:
     _current_argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(_current_argv)
     try:
+        _check_numeric_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError and AllocationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

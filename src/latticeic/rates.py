@@ -79,61 +79,51 @@ def _report(rates, scheme, binding, total_power) -> RateReport:
 # Symmetric channel: degrees of freedom and layered allocations
 # ---------------------------------------------------------------------------
 
-def dof_symmetric(a2: float) -> float:
-    """Achievable total degrees of freedom of the symmetric channel as a
-    function of the squared cross gain a2 = a**2."""
-    if a2 <= 0:
-        raise ValueError("a2 must be positive")
-    if a2 >= STRONG_MIN_A2:
-        return max(1.0, 3.0 * math.log(a2 - 1.0) / math.log(2.0 * a2 * a2 - a2))
-    if a2 <= WEAK_MAX_A2:
-        num = math.log((1.0 - a2) / (2.0 * a2))
-        den = math.log((1.0 + a2) / (2.0 * a2 * a2))
-        return max(1.0, 3.0 * num / den)
-    return 1.0
+def _ladder(a2: float) -> tuple[str, float, float, float]:
+    """(regime, base, ratio, gain) of the geometric power ladder: stage i of
+    N gets power base * ratio**(N-i) and rate (1/2)log2(gain).
 
-
-def _require_layered_regime(a2: float) -> str:
+    Strong regime (a2 >= 2): base = gain = a2-1, ratio 2*a2^2 - a2.
+    Weak regime (0 < a2 <= 1/3): base (1-a2)/(2*a2^2), ratio
+    (1+a2)/(2*a2^2), gain (1-a2)/(2*a2).
+    """
     if a2 >= STRONG_MIN_A2:
-        return "strong"
+        return "strong", a2 - 1.0, 2.0 * a2 * a2 - a2, a2 - 1.0
     if 0 < a2 <= WEAK_MAX_A2:
-        return "weak"
+        return "weak", (1.0 - a2) / (2.0 * a2 * a2), (1.0 + a2) / (2.0 * a2 * a2), (1.0 - a2) / (2.0 * a2)
     raise AllocationError(
-        f"no layered allocation for a2={a2}; supported regimes are a2 >= 2 and a2 <= 1/3"
+        f"no layered allocation for a2={a2}; supported regimes are a2 >= 2 and 0 < a2 <= 1/3"
     )
 
 
-def layered_allocation_symmetric(a2: float, N: int) -> LayeredAllocation:
-    """Geometric power ladder for the symmetric channel.
+def dof_symmetric(a2: float) -> float:
+    """Achievable total degrees of freedom of the symmetric channel as a
+    function of the squared cross gain a2 = a**2: 3 log(gain) / log(ratio)
+    of the power ladder, and 1 (time sharing) in the band between."""
+    if a2 <= 0:
+        raise ValueError("a2 must be positive")
+    if WEAK_MAX_A2 < a2 < STRONG_MIN_A2:
+        return 1.0
+    _, _, ratio, gain = _ladder(a2)
+    return max(1.0, 3.0 * math.log(gain) / math.log(ratio))
 
-    Strong regime: P_i = (a2-1) * (2*a2^2 - a2)**(N-i), stage rate
-    (1/2)log2(a2-1), interference decoded first. Weak regime:
-    P_i = ((1-a2)/(2*a2^2)) * ((1+a2)/(2*a2^2))**(N-i), stage rate
-    (1/2)log2((1-a2)/(2*a2)), message decoded first.
-    """
+
+def layered_allocation_symmetric(a2: float, N: int) -> LayeredAllocation:
+    """The N-stage power ladder of `_ladder` for the symmetric channel, with
+    interference decoded first in the strong regime and the message first
+    in the weak regime."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    regime = _require_layered_regime(a2)
+    regime, base, ratio, gain = _ladder(a2)
     i = np.arange(1, N + 1, dtype=float)
-    if regime == "strong":
-        base = a2 - 1.0
-        ratio = 2.0 * a2 * a2 - a2
-        stage_rate = 0.5 * math.log2(a2 - 1.0)
-        order = "interference-first"
-    else:
-        base = (1.0 - a2) / (2.0 * a2 * a2)
-        ratio = (1.0 + a2) / (2.0 * a2 * a2)
-        stage_rate = 0.5 * math.log2((1.0 - a2) / (2.0 * a2))
-        order = "message-first"
     powers = base * ratio ** (N - i)
-    rates = np.full(N, stage_rate)
     return LayeredAllocation(
         regime=regime,
         N=N,
         powers=powers,
-        rates=rates,
+        rates=np.full(N, 0.5 * math.log2(gain)),
         total_power=float(powers.sum()),
-        decode_order=order,
+        decode_order="interference-first" if regime == "strong" else "message-first",
     )
 
 
@@ -161,13 +151,7 @@ def threshold_power(a2: float, N: int) -> float:
         raise ValueError("N must be >= 0")
     if N == 0:
         return 0.0
-    regime = _require_layered_regime(a2)
-    if regime == "strong":
-        base = a2 - 1.0
-        ratio = 2.0 * a2 * a2 - a2
-    else:
-        base = (1.0 - a2) / (2.0 * a2 * a2)
-        ratio = (1.0 + a2) / (2.0 * a2 * a2)
+    _, base, ratio, _ = _ladder(a2)
     return base * (ratio**N - 1.0) / (ratio - 1.0)
 
 
@@ -271,31 +255,28 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
         r = hk_oracle(P, 1.0, a)
         return _report([r] * 3, "HK", "band-fallback", 3 * P)
 
+    regime, base, _, gain = _ladder(a2)
+    stage = 0.5 * math.log2(gain)
     # largest N with threshold_power(N) <= P (within rounding)
     N = 0
     while threshold_power(a2, N + 1) <= P * (1 + eq_rtol):
         N += 1
     PaN = threshold_power(a2, N)
+    if abs(PaN - P) <= eq_rtol * max(P, 1.0) and N >= 1:
+        case = "case-c" if regime == "strong" else "case-f"
+        return _report([N * stage] * 3, "lattice-layered", case, 3 * P)
 
-    if a2 >= STRONG_MIN_A2:
-        if abs(PaN - P) <= eq_rtol * max(P, 1.0) and N >= 1:
-            r = 0.5 * N * math.log2(a2 - 1.0)
-            return _report([r] * 3, "lattice-layered", "case-c", 3 * P)
-        if P <= a2 - 1.0:
+    if regime == "strong":
+        if P <= base:
             r = max(0.0, 0.5 * math.log2(P))
             return _report([r] * 3, "very-strong", "case-a", 3 * P)
         # P strictly between thresholds N and N+1
         top = 0.5 * math.log2(
             1.0 + (2.0 * a2 + 1.0) * (P - PaN) / (1.0 + (2.0 * a2 + 1.0) * PaN)
         )
-        r = 0.5 * N * math.log2(a2 - 1.0) + top
-        return _report([r] * 3, "lattice-layered", "case-b", 3 * P)
+        return _report([N * stage + top] * 3, "lattice-layered", "case-b", 3 * P)
 
     # weak regime
-    stage = 0.5 * math.log2((1.0 - a2) / (2.0 * a2))
-    if abs(PaN - P) <= eq_rtol * max(P, 1.0) and N >= 1:
-        r = N * stage
-        return _report([r] * 3, "lattice-layered", "case-f", 3 * P)
     if N == 0:
         r = hk_oracle(P, 1.0, a)
         return _report([r] * 3, "HK", "case-d", 3 * P)
@@ -323,35 +304,21 @@ def very_strong_symmetric(a2: float, P: float, sigma2: float = 1.0) -> RateRepor
     return _report([r] * 3, "very-strong", "message-decoding", 3 * P)
 
 
+# (p^2-link, q^2-link) of each very-strong condition set, as (receiver,
+# transmitter) indices; every other cross link needs h_jk^2 >= s_j / sigma2_k
+_VERY_STRONG_SETS = (((0, 1), (1, 0)), ((1, 2), (2, 1)), ((2, 0), (0, 2)))
+
+
 def _very_strong_conditions(ch: ChannelMatrix3, P, sigma2) -> list[bool]:
     p, q = ch.h1_witness
     h = ch.h
     s = [(P[i] + sigma2[i]) for i in range(3)]
-    c1 = (
-        h[0, 1] ** 2 >= p * p * s[0] / sigma2[1]
-        and h[0, 2] ** 2 >= s[0] / sigma2[2]
-        and h[1, 0] ** 2 >= q * q * s[1] / sigma2[0]
-        and h[1, 2] ** 2 >= s[1] / sigma2[2]
-        and h[2, 0] ** 2 >= s[2] / sigma2[0]
-        and h[2, 1] ** 2 >= s[2] / sigma2[1]
-    )
-    c2 = (
-        h[0, 1] ** 2 >= s[0] / sigma2[1]
-        and h[0, 2] ** 2 >= s[0] / sigma2[2]
-        and h[1, 0] ** 2 >= s[1] / sigma2[0]
-        and h[1, 2] ** 2 >= p * p * s[1] / sigma2[2]
-        and h[2, 0] ** 2 >= s[2] / sigma2[0]
-        and h[2, 1] ** 2 >= q * q * s[2] / sigma2[1]
-    )
-    c3 = (
-        h[0, 1] ** 2 >= s[0] / sigma2[1]
-        and h[0, 2] ** 2 >= q * q * s[0] / sigma2[2]
-        and h[1, 0] ** 2 >= s[1] / sigma2[0]
-        and h[1, 2] ** 2 >= s[1] / sigma2[2]
-        and h[2, 0] ** 2 >= p * p * s[2] / sigma2[0]
-        and h[2, 1] ** 2 >= s[2] / sigma2[1]
-    )
-    return [c1, c2, c3]
+    links = [(j, k) for j in range(3) for k in range(3) if j != k]
+    conds = []
+    for p_link, q_link in _VERY_STRONG_SETS:
+        mult = {p_link: p * p, q_link: q * q}
+        conds.append(all(h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] for j, k in links))
+    return conds
 
 
 def very_strong_general(

@@ -8,14 +8,23 @@ runs are reproducible and trials can be distributed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix3, class_h1_membership, receive, symmetric_channel
+from .channel import (
+    ChannelMatrix3,
+    alignment_factors,
+    class_h1_membership,
+    keyed_stream,
+    receive,
+    symmetric_channel,
+)
 from .lattice import (
     Codebook,
     Lattice,
@@ -26,6 +35,8 @@ from .lattice import (
     scale_lattice,
 )
 from .rates import (
+    AllocationError,
+    _ladder,
     layered_allocation_symmetric,
     stage_constraints_strong,
     very_strong_general,
@@ -40,6 +51,19 @@ _MATCH_TOL = 1e-6
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+def _conforms(value, kind: str) -> bool:
+    """Whether `value` has the type named by a SimConfig annotation such as
+    "int" or "list[float]": integers exclude bools, and numbers must be
+    finite."""
+    if kind.startswith("list["):
+        return isinstance(value, list) and all(_conforms(x, kind[5:-1]) for x in value)
+    if kind == "int":
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if kind == "float":
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, {"bool": bool, "str": str}[kind])
 
 
 @dataclass
@@ -61,6 +85,12 @@ class SimConfig:
     genie: bool = False
 
     def validate(self) -> None:
+        # annotations are strings here (postponed evaluation), e.g. "float | None"
+        for f in dataclasses.fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (value is None and optional) and not _conforms(value, kind):
+                raise ConfigError(f"config field {f.name!r} must be {f.type} (finite, not bool), got {value!r}")
         if self.scheme not in (
             "p2p",
             "very-strong-sym",
@@ -101,9 +131,10 @@ class SimConfig:
         elif self.scheme == "layered-sym":
             if self.a is None:
                 raise ConfigError("layered-sym requires gain a")
-            a2 = self.a**2
-            if not (a2 >= 2.0 or a2 <= 1.0 / 3.0):
-                raise ConfigError("layered-sym requires a^2 >= 2 or a^2 <= 1/3")
+            try:
+                _ladder(self.a**2)
+            except AllocationError as exc:
+                raise ConfigError(f"layered-sym: {exc}") from exc
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
             if len(self.rates) != self.N:
@@ -117,24 +148,7 @@ class SimConfig:
                 raise ConfigError("need per-user rates and powers")
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "scheme": self.scheme,
-            "n": self.n,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "rates": list(self.rates),
-            "power": self.power,
-            "sigma2": self.sigma2,
-            "a": self.a,
-            "N": self.N,
-            "h": self.h,
-            "powers": self.powers,
-            "sigma2s": self.sigma2s,
-            "search_budget": self.search_budget,
-            "shift_trials": self.shift_trials,
-            "genie": self.genie,
-        }
-        return doc
+        return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -183,11 +197,6 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _stream(master_seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence((int(master_seed) & (2**63 - 1),) + tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def sphere_volume(n: int, radius: float) -> float:
     return math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1)
 
@@ -222,7 +231,7 @@ def _codebooks(
     designed after a layer fails."""
     books = []
     for i, (P, R, lat) in enumerate(zip(powers, rates, lattices)):
-        seed = _stream(cfg.master_seed, _SHIFT, cand, i)
+        seed = keyed_stream(cfg.master_seed, _SHIFT, cand, i)
         cb = build_codebook(lat, P, R, shift_trials=cfg.shift_trials, seed=seed)
         if not cb.target_met:
             return None
@@ -240,7 +249,7 @@ def _layer_codebooks(
         for i, (P, R) in enumerate(zip(powers, rates)):
             pairs = _candidate_params(cfg.n, R)
             p, k = pairs[cand % len(pairs)]
-            yield design_lattice(cfg.n, P, R, p, k, _stream(cfg.master_seed, _CODE, cand, i))
+            yield design_lattice(cfg.n, P, R, p, k, keyed_stream(cfg.master_seed, _CODE, cand, i))
 
     return _codebooks(cfg, cand, lattices(), powers, rates)
 
@@ -351,11 +360,11 @@ def _run_symmetric_candidate(
     # one message stream per layer, so genie-mode stage statistics do not
     # depend on the other layers' codebook sizes; columns are the 3 users
     msgs = [
-        _stream(cfg.master_seed, _MSG, cand, i).integers(0, len(b), size=(T, 3))
+        keyed_stream(cfg.master_seed, _MSG, cand, i).integers(0, len(b), size=(T, 3))
         for i, b in enumerate(books)
     ]
     x = [sum(b.words[m[:, u]] for b, m in zip(books, msgs)) for u in range(3)]
-    z = _stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
+    z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
     resid = receive(symmetric_channel(a), 0, x, math.sqrt(cfg.sigma2) * z)
 
     int_errs, msg_errs = [], []
@@ -401,9 +410,9 @@ def simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
 
     def run(cand, books):
         cb = books[0]
-        msgs = _stream(cfg.master_seed, _MSG, cand).integers(0, len(cb), size=cfg.trials)
+        msgs = keyed_stream(cfg.master_seed, _MSG, cand).integers(0, len(cb), size=cfg.trials)
         x = cb.words[msgs]
-        z = _stream(cfg.master_seed, _NOISE, cand).normal(size=x.shape)
+        z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=x.shape)
         # no interferers: the receiver model reduces to y = x + z
         y = x + math.sqrt(cfg.sigma2) * z
         dec = _batched_nearest(cb.lattice, y - cb.shift) + cb.shift
@@ -462,15 +471,10 @@ def align_interference_lattices(
     The first two equalities fix the scale factors; the third holds
     through the rational cyclic-ratio identity and is verified here.
     """
-    if ch.h1_witness is None:
-        raise ValueError("channel has no rational-ratio witness")
-    p, q = ch.h1_witness
     h = ch.h
     if np.any(h[~np.eye(3, dtype=bool)] == 0):
         raise ValueError("all cross gains must be nonzero")
-    f3 = 1.0
-    f2 = p * h[0, 2] / h[0, 1] * f3
-    f1 = q * h[1, 2] / h[1, 0] * f3
+    f1, f2, f3 = alignment_factors(ch)
     lhs = abs(h[2, 0] * f1)
     rhs = abs(h[2, 1] * f2)
     if abs(lhs - rhs) > rtol * max(lhs, rhs):
@@ -500,12 +504,12 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
 
     n, T = cfg.n, cfg.trials
     pairs = _candidate_params(n, max(cfg.rates))
-    factors = [abs(witness[1] * h[1, 2] / h[1, 0]), abs(witness[0] * h[0, 2] / h[0, 1]), 1.0]
+    factors = [abs(f) for f in alignment_factors(ch)]
 
     def build(cand):
         # base lattice scaled so every user's codebook can meet its target
         p_mod, k = pairs[cand % len(pairs)]
-        code = make_linear_code(n, k, p_mod, _stream(cfg.master_seed, _CODE, cand, 0))
+        code = make_linear_code(n, k, p_mod, keyed_stream(cfg.master_seed, _CODE, cand, 0))
         gammas = [
             (sphere_volume(n, math.sqrt(n * P)) / 2.0 ** (n * R) / p_mod ** (n - k)) ** (1.0 / n) / f
             for P, R, f in zip(cfg.powers, cfg.rates, factors)
@@ -514,9 +518,9 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         return _codebooks(cfg, cand, lats, cfg.powers, cfg.rates)
 
     def run(cand, books):
-        rng_msg = _stream(cfg.master_seed, _MSG, cand)
+        rng_msg = keyed_stream(cfg.master_seed, _MSG, cand)
         xs = [b.words[rng_msg.integers(0, len(b), size=T)] for b in books]
-        z = _stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
+        z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
         y = receive(ch, 0, xs, math.sqrt(sig[0]) * z)
 
         agg_true = h[0, 1] * xs[1] + h[0, 2] * xs[2]

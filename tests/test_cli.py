@@ -1,12 +1,17 @@
 """Command-line interface: outputs, manifests and exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticeic.cli import EXIT_OK, EXIT_VALIDATION, main
+from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from latticeic.rates import dof_symmetric
 
 
@@ -197,6 +202,8 @@ class TestBadInputs:
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        assert out is None or not Path(out).exists()
 
     def write_matrix(self, tmp_path):
         path = tmp_path / "h.json"
@@ -237,9 +244,177 @@ class TestBadInputs:
         cfg = self.write_config(tmp_path, dict(scheme="p2p", n=4, trials=100, master_seed=0, rates=[20], power=3.0))
         self.assert_validation_error(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")], capsys)
 
+    def simulate_text(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        self.assert_validation_error(["simulate", "--config", str(path), "--out", str(tmp_path / "run.jsonl")], capsys)
+
+    @pytest.mark.parametrize("text", [
+        # a^2 = 0 is outside both layered regimes
+        '{"scheme": "layered-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.1], "a": 0}',
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": "x"}',
+        '{"scheme": "p2p", "n": 4.5, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3}',
+        '{"scheme": "p2p", "n": 4, "trials": true, "master_seed": 0, "rates": [0.5], "power": 3}',
+        '{"scheme": "very-strong-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": NaN, "a": 4}',
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": Infinity}',
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [NaN], "power": 3}',
+        '{"scheme": "very-strong-general", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.3, 0.3, 0.3],'
+        ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, "4"], [4, 4, 1]]}',
+        '{"scheme": "p2p", "n": 4, "trials": 100}',
+        "[1, 2]",
+    ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
+            "rate-nan", "h-string", "missing-rates", "not-an-object"])
+    def test_bad_config_field(self, tmp_path, capsys, text):
+        self.simulate_text(tmp_path, capsys, text)
+
+    @pytest.mark.parametrize("argv", [
+        ["dof-curve", "--a2-min", "1", "--a2-max", "inf"],
+        ["dof-curve", "--a2-min", "nan", "--a2-max", "2"],
+        ["dof-nonsym", "--a1", "inf", "--a2", "3", "--a3", "3"],
+        # the squared gain overflows
+        ["dof-nonsym", "--a1", "1e200", "--a2", "3", "--a3", "3"],
+        ["sym-rate-compare", "--a", "nan"],
+        ["sym-rate-compare", "--a", "0"],
+        ["sym-rate-compare", "--a", "-2.5"],
+        # the squared gain underflows to 0
+        ["sym-rate-compare", "--a", "1e-200"],
+        ["sym-rate-compare", "--a", "2.5", "--p-max", "inf"],
+        ["sym-rate-compare", "--a", "2.5", "--grid-size", "1"],
+    ], ids=" ".join)
+    def test_bad_numeric_flag(self, tmp_path, capsys, argv):
+        self.assert_validation_error(argv + ["--out", str(tmp_path / "x.csv")], capsys)
+
+    def test_overflowing_layer_powers_are_a_runtime_error(self, tmp_path, capsys):
+        # finite flags whose layer powers overflow from N = 3 on: no NaN rows
+        out = tmp_path / "d.csv"
+        argv = ["dof-nonsym", "--a1", "1e60", "--a2", "3", "--a3", "3", "--n-max", "6", "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_align_check_nan_power(self, tmp_path, capsys):
+        mat = self.write_matrix(tmp_path)
+        argv = ["align-check", "--matrix-file", str(mat), "--powers", "3,nan,3", "--out", str(tmp_path / "r.json")]
+        self.assert_validation_error(argv, capsys)
+
+    def test_replay_of_replay_refused(self, tmp_path, capsys):
+        manifest = tmp_path / "loop.manifest.json"
+        manifest.write_text(json.dumps({"argv": ["replay", str(manifest)]}))
+        self.assert_validation_error(["replay", str(manifest)], capsys)
+
+    def test_manifest_without_argv(self, tmp_path, capsys):
+        manifest = tmp_path / "bare.manifest.json"
+        manifest.write_text(json.dumps({"command": "dof-curve"}))
+        self.assert_validation_error(["replay", str(manifest)], capsys)
+
     def test_two_sigma2s(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, dict(
             scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.3] * 3,
             powers=[3.0] * 3, h=[[1, 4, 4], [4, 1, 4], [4, 4, 1]], sigma2s=[1.0, 1.0],
         ))
         self.assert_validation_error(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")], capsys)
+
+
+# Short runs of every closed-form command, covering the strong, weak and
+# band regimes of sym-rate-compare (including points exactly on the first
+# layer threshold), both dof-curve axes, dof-nonsym and align-check with
+# each very-strong condition set. Each digest is the SHA-256 of the output
+# file followed by the sorted-key JSON of the manifest's params; any change
+# to either is a change in closed-form output.
+ALIGN_MATRICES = {
+    "set-1": [[1, 2, 2], [2, 1, 2], [2, 2, 1]],
+    "set-2": [[1, 4, 10], [10, 1, 10], [75, 10, 1]],
+    "set-3": [[1, 2, 5], [2, 1, 2], [15, 2, 1]],
+}
+CLOSED_FORM_PINNED = {
+    "compare-strong": (
+        ["sym-rate-compare", "--a", "2.5", "--p-min", "0.5", "--p-max", "1e5", "--steps", "9", "--grid-size", "51"],
+        "71037e619ce37edffcb1dfbea2d2e0d60863c5edf46382b22125b124a5e04ae8",
+    ),
+    "compare-strong-threshold": (
+        ["sym-rate-compare", "--a", "2.5", "--p-min", "5.25", "--p-max", "5.25", "--grid-size", "51"],
+        "d31f1f673dea0cc4e046bbf7b16ef062e8f2ad7e80b36bfd1c0ab22ee4d9bfbe",
+    ),
+    "compare-weak": (
+        ["sym-rate-compare", "--a", "0.5", "--p-min", "0.5", "--p-max", "1e5", "--steps", "9", "--grid-size", "51"],
+        "60518ff7a873b9af709892a7b0db2b71e82c649e1a866cf98cd9850c109c7874",
+    ),
+    "compare-weak-threshold": (
+        ["sym-rate-compare", "--a", "0.5", "--p-min", "6", "--p-max", "6", "--grid-size", "51"],
+        "d69f0eedab00fa7e06875f8cb397e572afff71e120ca2d05760a6481c02551ba",
+    ),
+    "compare-band": (
+        ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "1e4", "--steps", "4", "--grid-size", "51"],
+        "8b0078cca26fa1db9d1dca57e541bf3f7d18dec8b49ae4f41547af5f795a8f3c",
+    ),
+    "dof-curve-log": (
+        ["dof-curve", "--a2-min", "0.01", "--a2-max", "100", "--steps", "41", "--log-axis"],
+        "479a156cf96768c36725e2c3c451f63833520d34eabda18f39e4ce66e009c873",
+    ),
+    "dof-curve-linear": (
+        ["dof-curve", "--a2-min", "0.05", "--a2-max", "12", "--steps", "25"],
+        "ab7775507f2dcce164a2bc30539ddcfcfae725288786662482da7eb4e8e19a51",
+    ),
+    "dof-nonsym": (
+        ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "12"],
+        "57daf7b55978beb06aa3f49a1c1d989a8daf370c2fc2fc8d06260aa9d9433e41",
+    ),
+    "align-check-set-1": (["align-check", "--matrix", "set-1", "--powers", "3,3,3"], "9ed354dbe620da939e12f3212ce9d2e4e67e0368d9789dc1ea9bb3be6190228b"),
+    "align-check-set-2": (["align-check", "--matrix", "set-2", "--powers", "1,1,1"], "2434bf3d68b4eab4aaaf3b7ea7d9991a859fb5c0bb5f3939a050eefb06613676"),
+    "align-check-set-3": (["align-check", "--matrix", "set-3", "--powers", "2,2,2", "--noises", "1,1,1"], "2a12cdd72d7f572e12bfa4123421cbfebc20547c65c9b71c1ee6a28f5f925b77"),
+    "align-check-no-powers": (["align-check", "--matrix", "set-3"], "8665f9be98ed96279020fa2be2c939290981ee0a73e45518610f3ffd055c91b9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_PINNED))
+def test_closed_form_outputs_pinned(name, tmp_path, capsys):
+    argv, digest = CLOSED_FORM_PINNED[name]
+    argv = list(argv)
+    if "--matrix" in argv:
+        i = argv.index("--matrix")
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"h": ALIGN_MATRICES[argv[i + 1]]}))
+        argv[i : i + 2] = ["--matrix-file", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    params = json.loads((tmp_path / "out.manifest.json").read_text())["params"]
+    params.pop("matrix_file", None)
+    blob = out.read_bytes() + json.dumps(params, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# Any float, including NaN, infinities, negatives and subnormals, mixed with
+# moderate values so that the successful paths are exercised too, and with
+# the values whose squares or logarithms leave the float range.
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, 1e-200, 1e154, 1e200, 5e-324]),
+)
+NUMERIC_FLAGS = {
+    "dof-curve": {"--a2-min": ANY_FLOAT, "--a2-max": ANY_FLOAT, "--steps": st.integers(-1, 6)},
+    "sym-rate-compare": {
+        "--a": ANY_FLOAT, "--p-min": ANY_FLOAT, "--p-max": ANY_FLOAT,
+        "--steps": st.integers(-1, 6), "--grid-size": st.integers(-1, 6),
+    },
+    "dof-nonsym": {"--a1": ANY_FLOAT, "--a2": ANY_FLOAT, "--a3": ANY_FLOAT, "--n-max": st.integers(-1, 6)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_FLAGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_codes_and_finite_output(command, data):
+    flags = data.draw(st.fixed_dictionaries(NUMERIC_FLAGS[command]))
+    argv = [command] + [f"{flag}={value!r}" for flag, value in flags.items()]
+    if command == "dof-curve" and data.draw(st.booleans()):
+        argv.append("--log-axis")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        rc = main(argv + ["--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+        if rc != EXIT_OK:
+            assert not out.exists()
+            return
+        _, rows = read_csv(out)
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row)

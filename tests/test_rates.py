@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from latticeic.channel import ChannelMatrix3, symmetric_channel
+from latticeic.channel import ChannelMatrix3, class_h1_membership, symmetric_channel
 from latticeic.rates import (
     AllocationError,
+    _ladder,
+    _very_strong_conditions,
     dof_nonsym_numeric,
     dof_symmetric,
     hk_sym_rate,
@@ -79,6 +81,15 @@ class TestLayeredAllocation:
     def test_band_rejected(self):
         with pytest.raises(AllocationError):
             layered_allocation_symmetric(1.0, 2)
+
+    def test_ladder_regimes_and_bounds(self):
+        assert _ladder(3.0) == ("strong", 2.0, 15.0, 2.0)
+        assert _ladder(2.0) == ("strong", 1.0, 6.0, 1.0)
+        assert _ladder(0.25) == ("weak", 6.0, 10.0, 1.5)
+        assert _ladder(1.0 / 3.0)[0] == "weak"
+        for a2 in (0.0, -1.0, 0.5, 1.999, math.nan):
+            with pytest.raises(AllocationError):
+                _ladder(a2)
 
     def test_ladder_identity(self):
         # the strong-regime powers make the very-strong condition tight stagewise
@@ -258,6 +269,45 @@ class TestVeryStrong:
         assert out is not None
         _, idx = out
         assert idx == 2
+
+    def test_general_selects_third_condition_set(self):
+        # witness (3, 1); h12 and h23 miss the p^2 requirements of sets 1
+        # and 2, while h31 meets set 3's p^2 and h13 its q^2
+        h = np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 2.0], [15.0, 2.0, 1.0]])
+        ch = ChannelMatrix3(h, h1_witness=(3, 1))
+        assert _very_strong_conditions(ch, [2.0] * 3, [1.0] * 3) == [False, False, True]
+        report, idx = very_strong_general(ch, [2.0] * 3, [1.0] * 3)
+        assert idx == 3
+        assert report.binding_constraint == "condition-set-3"
+        assert report.per_user_rates == pytest.approx([0.5] * 3)
+
+    def test_condition_sets_match_written_out_reference(self):
+        # the three sets written out term by term, against the table-driven
+        # check, on random witnessed channels; every set must be hit
+        rng = np.random.default_rng(11)
+        hits = [0, 0, 0]
+        for _ in range(4000):
+            h = np.ones((3, 3))
+            h[~np.eye(3, dtype=bool)] = rng.integers(1, 13, size=6)
+            ch = ChannelMatrix3(h, h1_witness=class_h1_membership(h))
+            p, q = ch.h1_witness
+            P, sigma2 = rng.uniform(0.1, 4.0, size=3), rng.uniform(0.2, 2.0, size=3)
+            s = P + sigma2
+            reference = [
+                h[0, 1] ** 2 >= p * p * s[0] / sigma2[1] and h[0, 2] ** 2 >= s[0] / sigma2[2]
+                and h[1, 0] ** 2 >= q * q * s[1] / sigma2[0] and h[1, 2] ** 2 >= s[1] / sigma2[2]
+                and h[2, 0] ** 2 >= s[2] / sigma2[0] and h[2, 1] ** 2 >= s[2] / sigma2[1],
+                h[0, 1] ** 2 >= s[0] / sigma2[1] and h[0, 2] ** 2 >= s[0] / sigma2[2]
+                and h[1, 0] ** 2 >= s[1] / sigma2[0] and h[1, 2] ** 2 >= p * p * s[1] / sigma2[2]
+                and h[2, 0] ** 2 >= s[2] / sigma2[0] and h[2, 1] ** 2 >= q * q * s[2] / sigma2[1],
+                h[0, 1] ** 2 >= s[0] / sigma2[1] and h[0, 2] ** 2 >= q * q * s[0] / sigma2[2]
+                and h[1, 0] ** 2 >= s[1] / sigma2[0] and h[1, 2] ** 2 >= s[1] / sigma2[2]
+                and h[2, 0] ** 2 >= p * p * s[2] / sigma2[0] and h[2, 1] ** 2 >= s[2] / sigma2[1],
+            ]
+            got = _very_strong_conditions(ch, list(P), list(sigma2))
+            assert [bool(c) for c in got] == [bool(c) for c in reference]
+            hits = [n + bool(c) for n, c in zip(hits, got)]
+        assert min(hits) > 0
 
     def test_general_no_set_holds(self):
         ch = symmetric_channel(1.0)
