@@ -2,6 +2,10 @@
 checks and Monte Carlo runs. Outputs are plotter-agnostic CSV/JSON and
 every command writes a manifest that reproduces it byte-identically.
 
+Each command except `replay` returns (text, params, seed): the output
+file's content, the manifest's params and its master seed. `main` writes
+both files.
+
 Exit codes: 0 success, 2 validation error, 3 runtime/convergence error.
 """
 
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -23,41 +28,31 @@ from .rates import (
     AllocationError,
     dof_symmetric,
     hk_sym_rate,
-    nonsym_layered_allocation,
-    dof_nonsym_numeric,
+    nonsym_sweep,
+    sweep_dof,
     sym_rate_lattice,
     very_strong_general,
 )
-from .simulate import ConfigError, SimConfig, run_simulation
+from .simulate import ConfigError, SimConfig, run_simulation, squared_gain
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_current_argv: list[str] = []
 
-
-def _write_manifest(command: str, out: Path, params: dict, seed, outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "params": params,
-        "version": __version__,
-        "master_seed": seed,
-        "outputs": outputs,
-        "argv": list(_current_argv),
-    }
-    path = Path(str(out) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
     if not all(math.isfinite(x) for row in rows for x in row):
         raise FloatingPointError("a computed value is not finite; inputs are outside the numeric range")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([repr(x) if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue()
+
+
+def _flags(args) -> dict:
+    """The command's own flags, in declaration order."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "out")}
 
 
 def _check_numeric_flags(args) -> None:
@@ -68,15 +63,7 @@ def _check_numeric_flags(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be a positive finite number, got {value!r}")
 
 
-def _squared_gain(flag: str, a: float) -> float:
-    """a**2, refused unless the square is finite and positive (tested on
-    a * a, which overflows to inf where a**2 raises)."""
-    if not 0.0 < a * a < math.inf:
-        raise ConfigError(f"--{flag} squared must be a positive finite number, got {a!r}")
-    return a**2
-
-
-def cmd_dof_curve(args) -> int:
+def cmd_dof_curve(args) -> tuple[str, dict, int]:
     if not (0 < args.a2_min < args.a2_max):
         raise ConfigError("need 0 < a2-min < a2-max")
     if args.steps < 2:
@@ -86,27 +73,13 @@ def cmd_dof_curve(args) -> int:
     else:
         grid = np.linspace(args.a2_min, args.a2_max, args.steps)
     rows = [(float(a2), dof_symmetric(float(a2))) for a2 in grid]
-    out = Path(args.out)
-    _write_csv(out, ["a2", "dof"], rows)
-    _write_manifest(
-        "dof-curve",
-        out,
-        {
-            "a2_min": args.a2_min,
-            "a2_max": args.a2_max,
-            "steps": args.steps,
-            "log_axis": bool(args.log_axis),
-        },
-        args.seed,
-        [str(out)],
-    )
-    return EXIT_OK
+    return _csv(["a2", "dof"], rows), _flags(args), args.seed
 
 
-def cmd_sym_rate_compare(args) -> int:
+def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
     if not (0 < args.p_min <= args.p_max) or args.steps < 1 or args.grid_size < 2:
         raise ConfigError("need 0 < p-min <= p-max, steps >= 1 and grid-size >= 2")
-    a2 = _squared_gain("a", args.a)
+    a2 = squared_gain("--a", args.a)
     if args.p_min == args.p_max or args.steps == 1:
         grid = np.array([args.p_min])
     else:
@@ -119,8 +92,7 @@ def cmd_sym_rate_compare(args) -> int:
     for P in grid:
         report = sym_rate_lattice(a2, float(P), hk_oracle=oracle)
         rows.append((float(P), report.per_user_rates[0], oracle(float(P), 1.0, args.a)))
-    out = Path(args.out)
-    _write_csv(out, ["P", "R_lattice", "R_HK"], rows)
+    text = _csv(["P", "R_lattice", "R_HK"], rows)
     warnings = (
         ["cross gain in the unsupported band 1/3 < a^2 < 2; lattice column equals the baseline"]
         if report.binding_constraint == "band-fallback"
@@ -128,21 +100,7 @@ def cmd_sym_rate_compare(args) -> int:
     )
     if warnings:
         print(warnings[0], file=sys.stderr)
-    _write_manifest(
-        "sym-rate-compare",
-        out,
-        {
-            "a": args.a,
-            "p_min": args.p_min,
-            "p_max": args.p_max,
-            "steps": args.steps,
-            "grid_size": args.grid_size,
-            "warnings": warnings,
-        },
-        args.seed,
-        [str(out)],
-    )
-    return EXIT_OK
+    return text, {**_flags(args), "warnings": warnings}, args.seed
 
 
 def _triple(name: str, text: str) -> list[float]:
@@ -152,7 +110,7 @@ def _triple(name: str, text: str) -> list[float]:
     return values
 
 
-def cmd_align_check(args) -> int:
+def cmd_align_check(args) -> tuple[str, dict, int]:
     powers = None if args.powers is None else _triple("powers", args.powers)
     noises = _triple("noises", args.noises or "1,1,1")
     text = Path(args.matrix_file).read_text()
@@ -172,19 +130,10 @@ def cmd_align_check(args) -> int:
                 rr, idx = res
                 report["condition_set"] = idx
                 report["rates_bits_per_dim"] = list(rr.per_user_rates)
-    out = Path(args.out)
-    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
-    _write_manifest(
-        "align-check",
-        out,
-        {"matrix_file": args.matrix_file, "powers": args.powers, "noises": args.noises},
-        args.seed,
-        [str(out)],
-    )
-    return EXIT_OK
+    return json.dumps(report, indent=2, allow_nan=False) + "\n", _flags(args), args.seed
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, dict, int]:
     try:
         doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
@@ -195,58 +144,29 @@ def cmd_simulate(args) -> int:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if args.seed is not None:
-        doc.setdefault("master_seed", args.seed)
+    doc.setdefault("master_seed", args.seed)
     try:
         cfg = SimConfig(**doc)
     except TypeError as exc:  # a required field is missing
         raise ConfigError(f"incomplete config: {exc}") from exc
     stats = run_simulation(cfg)
-    out = Path(args.out)
-    out.write_text(stats.to_json_line(cfg) + "\n")
-    _write_manifest("simulate", out, {"config": cfg.to_json_dict()}, cfg.master_seed, [str(out)])
-    return EXIT_OK
+    return stats.to_json_line(cfg) + "\n", {"config": cfg.to_json_dict()}, cfg.master_seed
 
 
-def cmd_dof_nonsym(args) -> int:
-    g2 = [_squared_gain(flag, getattr(args, flag)) for flag in ("a1", "a2", "a3")]
+def cmd_dof_nonsym(args) -> tuple[str, dict, int]:
+    g2 = [squared_gain("--" + flag, getattr(args, flag)) for flag in ("a1", "a2", "a3")]
     if any(x < 2.0 for x in g2):
         raise ConfigError("all squared gains must be >= 2")
     if args.n_max < 1:
         raise ConfigError("n-max must be >= 1")
-    rows = []
-    failures = []
-    for N in range(1, args.n_max + 1):
-        try:
-            alloc, _ = nonsym_layered_allocation(args.a1, args.a2, args.a3, N)
-        except AllocationError as exc:
-            failures.append({"N": N, "error": str(exc)})
-            continue
-        sum_rate = float(alloc.rates.sum())
-        ptot = float(np.sum(alloc.total_power))
-        rows.append((N, sum_rate, ptot, max(1.0, sum_rate / (0.5 * math.log2(ptot)))))
+    rows, failures = nonsym_sweep(args.a1, args.a2, args.a3, args.n_max)
     if not rows:
         raise AllocationError("layered allocation failed for every N")
-    max_ok = rows[-1][0]
-    final = dof_nonsym_numeric(args.a1, args.a2, args.a3, max_ok)
-    out = Path(args.out)
-    _write_csv(out, ["N", "sum_rate", "total_power", "dof_estimate"], rows)
-    _write_manifest(
-        "dof-nonsym",
-        out,
-        {
-            "a1": args.a1,
-            "a2": args.a2,
-            "a3": args.a3,
-            "n_max": args.n_max,
-            "dof": final,
-            "failures": failures,
-        },
-        args.seed,
-        [str(out)],
-    )
+    final = sweep_dof(rows)
+    text = _csv(["N", "sum_rate", "total_power", "dof_estimate"], [row + (sweep_dof([row]),) for row in rows])
     print(repr(final))
-    return EXIT_OK
+    failures = [{"N": N, "error": str(exc)} for N, exc in failures]
+    return text, {**_flags(args), "dof": final, "failures": failures}, args.seed
 
 
 def cmd_replay(args) -> int:
@@ -313,18 +233,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("manifest")
-    p.set_defaults(func=cmd_replay)
 
     return ap
 
 
 def main(argv=None) -> int:
-    global _current_argv
-    _current_argv = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(_current_argv)
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    args = build_parser().parse_args(argv)
     try:
         _check_numeric_flags(args)
-        return args.func(args)
+        if args.command == "replay":
+            return cmd_replay(args)
+        text, params, seed = args.func(args)
+        out = Path(args.out)
+        out.write_text(text, newline="")
+        manifest = {
+            "command": args.command,
+            "params": params,
+            "version": __version__,
+            "master_seed": seed,
+            "outputs": [str(out)],
+            "argv": argv,
+        }
+        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        return EXIT_OK
     except (ValueError, OSError) as exc:  # ConfigError and AllocationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, AllocationError) else EXIT_VALIDATION

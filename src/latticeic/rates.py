@@ -85,15 +85,23 @@ def _ladder(a2: float) -> tuple[str, float, float, float]:
 
     Strong regime (a2 >= 2): base = gain = a2-1, ratio 2*a2^2 - a2.
     Weak regime (0 < a2 <= 1/3): base (1-a2)/(2*a2^2), ratio
-    (1+a2)/(2*a2^2), gain (1-a2)/(2*a2).
+    (1+a2)/(2*a2^2), gain (1-a2)/(2*a2). Refused where a term leaves the
+    float range: the strong ratio overflows from a2 ~ 1e154, the weak one
+    from a2 ~ 1e-155, and 2*a2^2 underflows to 0 below a2 ~ 1e-162.
     """
     if a2 >= STRONG_MIN_A2:
-        return "strong", a2 - 1.0, 2.0 * a2 * a2 - a2, a2 - 1.0
-    if 0 < a2 <= WEAK_MAX_A2:
-        return "weak", (1.0 - a2) / (2.0 * a2 * a2), (1.0 + a2) / (2.0 * a2 * a2), (1.0 - a2) / (2.0 * a2)
-    raise AllocationError(
-        f"no layered allocation for a2={a2}; supported regimes are a2 >= 2 and 0 < a2 <= 1/3"
-    )
+        ladder = "strong", a2 - 1.0, 2.0 * a2 * a2 - a2, a2 - 1.0
+    elif 0 < a2 <= WEAK_MAX_A2 and 2.0 * a2 * a2 > 0.0:
+        ladder = "weak", (1.0 - a2) / (2.0 * a2 * a2), (1.0 + a2) / (2.0 * a2 * a2), (1.0 - a2) / (2.0 * a2)
+    elif 0 < a2 <= WEAK_MAX_A2:  # 2*a2^2 underflows to 0
+        ladder = "weak", math.inf, math.inf, math.inf
+    else:
+        raise AllocationError(
+            f"no layered allocation for a2={a2}; supported regimes are a2 >= 2 and 0 < a2 <= 1/3"
+        )
+    if not all(math.isfinite(x) for x in ladder[1:]):
+        raise AllocationError(f"the power ladder of a2={a2!r} leaves the float range")
+    return ladder
 
 
 def dof_symmetric(a2: float) -> float:
@@ -394,28 +402,45 @@ def nonsym_layered_allocation(
     return alloc, SigmaLadder(sigma_int2=s_int, sigma_msg2=s_msg)
 
 
-def dof_nonsym_numeric(a1: float, a2: float, a3: float, N_max: int) -> float:
-    """Numeric degrees-of-freedom estimate for the nonsymmetric allocation.
+def nonsym_sweep(
+    a1: float, a2: float, a3: float, N_max: int
+) -> tuple[list[tuple[int, float, float]], list[tuple[int, AllocationError]]]:
+    """The nonsymmetric allocation for N = 1..N_max: the (N, sum rate, total
+    power) row of each feasible N and the AllocationError of each other N."""
+    rows, failures = [], []
+    # huge gains overflow the layer powers; the caller refuses non-finite rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for N in range(1, N_max + 1):
+            try:
+                alloc, _ = nonsym_layered_allocation(a1, a2, a3, N)
+            except AllocationError as exc:
+                failures.append((N, exc))
+                continue
+            rows.append((N, float(alloc.rates.sum()), float(np.sum(alloc.total_power))))
+    return rows, failures
+
+
+def sweep_dof(rows) -> float:
+    """Degrees-of-freedom estimate from `nonsym_sweep` rows.
 
     Estimated as the growth rate of the sum rate against (1/2)log2 of the
     total power between the two deepest feasible layer counts (the
     per-layer-count rate/power ratio approaches the same limit but only as
-    O(1/N)); floored at 1 by time sharing.
+    O(1/N)); that ratio for a single row; floored at 1 by time sharing.
     """
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
-    sums = []
-    for N in range(1, N_max + 1):
-        try:
-            alloc, _ = nonsym_layered_allocation(a1, a2, a3, N)
-        except AllocationError:
-            continue
-        sums.append((float(alloc.rates.sum()), float(np.sum(alloc.total_power))))
-    if not sums:
+    if not rows:
         return 1.0  # time-sharing fallback
-    if len(sums) == 1:
-        r, p = sums[0]
+    if len(rows) == 1:
+        _, r, p = rows[0]
         return max(1.0, r / (0.5 * math.log2(p)))
-    (r0, p0), (r1, p1) = sums[-2], sums[-1]
+    (_, r0, p0), (_, r1, p1) = rows[-2], rows[-1]
     slope = (r1 - r0) / (0.5 * (math.log2(p1) - math.log2(p0)))
     return max(1.0, slope)
+
+
+def dof_nonsym_numeric(a1: float, a2: float, a3: float, N_max: int) -> float:
+    """Numeric degrees-of-freedom estimate for the nonsymmetric allocation
+    over N = 1..N_max (see `sweep_dof`)."""
+    if N_max < 1:
+        raise ValueError("N_max must be >= 1")
+    return sweep_dof(nonsym_sweep(a1, a2, a3, N_max)[0])

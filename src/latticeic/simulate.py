@@ -53,6 +53,14 @@ class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
 
+def squared_gain(name: str, a: float) -> float:
+    """a**2, refused unless the square is finite and positive (tested on
+    a * a, which overflows to inf where a**2 raises)."""
+    if not 0.0 < a * a < math.inf:
+        raise ConfigError(f"{name} squared must be a positive finite number, got {a!r}")
+    return a**2
+
+
 def _conforms(value, kind: str) -> bool:
     """Whether `value` has the type named by a SimConfig annotation such as
     "int" or "list[float]": integers exclude bools, and numbers must be
@@ -122,7 +130,7 @@ class SimConfig:
                 raise ConfigError("very-strong-sym requires gain a and power")
             # noiseless hooks (sigma2 < 1) test mechanics only; the regime
             # condition is checked at the nominal unit noise floor
-            if self.a**2 < self.power / max(self.sigma2, 1.0) + 1.0 - 1e-12:
+            if squared_gain("config field 'a'", self.a) < self.power / max(self.sigma2, 1.0) + 1.0 - 1e-12:
                 raise ConfigError(
                     "very-strong condition a^2 >= P/sigma2 + 1 violated"
                 )
@@ -132,7 +140,7 @@ class SimConfig:
             if self.a is None:
                 raise ConfigError("layered-sym requires gain a")
             try:
-                _ladder(self.a**2)
+                _ladder(squared_gain("config field 'a'", self.a))
             except AllocationError as exc:
                 raise ConfigError(f"layered-sym: {exc}") from exc
             if not 1 <= self.N <= 3:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,15 @@ class TestDofCurve:
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "curve.csv"
         run_twice(["dof-curve", "--a2-min", "0.5", "--a2-max", "4", "--steps", "10", "--out", str(out)], out)
+
+    def test_ladder_outside_float_range_is_runtime_error(self, tmp_path, capsys):
+        # the strong ladder ratio 2*a2^2 - a2 overflows from a2 ~ 1e154
+        out = tmp_path / "far.csv"
+        argv = ["dof-curve", "--a2-min", "1e150", "--a2-max", "1e160", "--steps", "3", "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "far.csv.manifest.json").exists()
 
 
 class TestSymRateCompare:
@@ -262,8 +272,11 @@ class TestBadInputs:
         ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, "4"], [4, 4, 1]]}',
         '{"scheme": "p2p", "n": 4, "trials": 100}',
         "[1, 2]",
+        # a^2 overflows
+        '{"scheme": "layered-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.1], "a": 1e200}',
+        '{"scheme": "very-strong-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.1], "power": 3, "a": 1e200}',
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
-            "rate-nan", "h-string", "missing-rates", "not-an-object"])
+            "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge"])
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
 
@@ -288,8 +301,13 @@ class TestBadInputs:
         # finite flags whose layer powers overflow from N = 3 on: no NaN rows
         out = tmp_path / "d.csv"
         argv = ["dof-nonsym", "--a1", "1e60", "--a2", "3", "--a3", "3", "--n-max", "6", "--out", str(out)]
-        assert main(argv) == EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith("error: ")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_RUNTIME
+        # the one error line, without numpy's overflow warnings next to it
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_align_check_nan_power(self, tmp_path, capsys):
@@ -418,3 +436,114 @@ def test_numeric_flags_exit_codes_and_finite_output(command, data):
             return
         _, rows = read_csv(out)
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+# Whole manifest files, byte for byte, with the run's temporary directory
+# replaced by a fixed placeholder. Covers every command's params (including
+# the derived `warnings`, `dof` and `failures` entries), a simulate config
+# whose master_seed comes from --seed, and the replay of that run.
+MANIFEST_PINNED = {
+    "dof-curve": (
+        ["dof-curve", "--a2-min", "0.05", "--a2-max", "12", "--steps", "7", "--log-axis"],
+        "8682aed8b8c539a0a940dc950822fb778ba9e67596753bcce0d62982c4be4003",
+    ),
+    "sym-rate-compare-band": (
+        ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "100", "--steps", "3", "--grid-size", "21"],
+        "fc894a8f217f3e101848b7021b3babc281b59b365a7b8b46e477a17cebaf53d7",
+    ),
+    "align-check": (
+        ["align-check", "--matrix", "set-2", "--powers", "1,1,1", "--noises", "1,2,1"],
+        "407cfe670d62232d869290b21d6ab7329cfe2b065f5a211de2289367c03c07b3",
+    ),
+    "align-check-no-powers": (
+        ["align-check", "--matrix", "set-3"],
+        "2952a6bd78301d008c4fa818622d259b8409a160b11ec92aae07db3f71c49f91",
+    ),
+    "dof-nonsym": (
+        ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "5"],
+        "4e9dc6e2d9fab4f9fbb964eed86f13ea1222b9cd43015e99bc51007d268dcdfb",
+    ),
+    "simulate-seed-flag": (
+        ["simulate", "--config", "{tmp}/sim.json", "--seed", "5"],
+        "838e633293ea4ce3185182fd14af2d0d532b57f9af8a2fa69e0745897f7ad462",
+    ),
+    # replays the manifest of simulate-seed-flag, which rewrites the same output
+    "simulate-replay": (
+        ["replay", "{tmp}/first.manifest.json"],
+        "838e633293ea4ce3185182fd14af2d0d532b57f9af8a2fa69e0745897f7ad462",
+    ),
+}
+SEEDLESS_CONFIG = dict(scheme="very-strong-sym", n=4, trials=100, rates=[0.25], power=3.0, a=4.0, search_budget=1)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_PINNED))
+def test_whole_manifest_pinned(name, tmp_path):
+    argv, digest = MANIFEST_PINNED[name]
+    tmp = str(tmp_path)
+    argv = [a.replace("{tmp}", tmp) for a in argv]
+    if "--matrix" in argv:
+        i = argv.index("--matrix")
+        (tmp_path / "h.json").write_text(json.dumps({"h": ALIGN_MATRICES[argv[i + 1]]}))
+        argv[i : i + 2] = ["--matrix-file", tmp + "/h.json"]
+    (tmp_path / "sim.json").write_text(json.dumps(SEEDLESS_CONFIG))
+    if argv[0] == "replay":
+        assert main(["simulate", "--config", tmp + "/sim.json", "--seed", "5", "--out", tmp + "/out"]) == EXIT_OK
+        (tmp_path / "out").unlink()
+        (tmp_path / "out.manifest.json").rename(tmp_path / "first.manifest.json")
+    else:
+        argv += ["--out", tmp + "/out"]
+    assert main(argv) == EXIT_OK
+    manifest = (tmp_path / "out.manifest.json").read_bytes().replace(tmp.encode(), b"{tmp}")
+    assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+# A short run of each scheme that passes validation (with 4 candidates it
+# mostly finds a lattice too); the property below replaces up to two fields
+# of one of them with arbitrary values.
+VALID_CONFIGS = {
+    "p2p": dict(rates=[0.25], power=3.0),
+    "very-strong-sym": dict(rates=[0.25], power=3.0, a=4.0),
+    "layered-sym": dict(rates=[0.1, 0.1], N=2, a=2.0),
+    "very-strong-general": dict(rates=[0.25] * 3, powers=[3.0] * 3, h=[[1, 4, 4], [4, 1, 4], [4, 4, 1]]),
+}
+WILD_FIELDS = {
+    "scheme": st.sampled_from(sorted(VALID_CONFIGS) + ["no-such-scheme"]),
+    "trials": st.integers(99, 101),
+    "search_budget": st.integers(0, 1),
+    "shift_trials": st.integers(0, 1),
+    "power": ANY_FLOAT,
+    "a": ANY_FLOAT,
+    "sigma2": ANY_FLOAT,
+    "rates": st.lists(ANY_FLOAT, min_size=1, max_size=3),
+}
+
+
+def all_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(all_finite(v) for v in obj)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_simulate_config_exit_codes_and_finite_output(data):
+    scheme = data.draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    doc = dict(
+        scheme=scheme, n=data.draw(st.integers(2, 4)), trials=100, master_seed=data.draw(st.integers(0, 3)),
+        search_budget=4, shift_trials=1, **VALID_CONFIGS[scheme],
+    )
+    for name in sorted(data.draw(st.sets(st.sampled_from(sorted(WILD_FIELDS)), max_size=2))):
+        doc[name] = data.draw(WILD_FIELDS[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "sim.json", Path(tmp) / "run.jsonl"
+        config.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+        if rc != EXIT_OK:
+            assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+            return
+        assert all_finite(json.loads(out.read_text()))

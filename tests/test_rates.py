@@ -15,7 +15,9 @@ from latticeic.rates import (
     hk_sym_rate,
     layered_allocation_symmetric,
     nonsym_layered_allocation,
+    nonsym_sweep,
     stage_constraints_strong,
+    sweep_dof,
     sym_rate_lattice,
     threshold_power,
     very_strong_general,
@@ -46,6 +48,14 @@ class TestDofSymmetric:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             dof_symmetric(0.0)
+
+    def test_ladder_outside_float_range_refused(self):
+        # the strong ratio overflows, the weak ratio overflows, 2*a2^2 underflows
+        for a2 in (1e160, 1e-160, 1e-170):
+            with pytest.raises(AllocationError):
+                dof_symmetric(a2)
+        for a2 in (1e150, 1e-150):
+            assert 1.0 < dof_symmetric(a2) < 1.5
 
 
 class TestLayeredAllocation:
@@ -374,6 +384,21 @@ class TestDofNonsym:
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             dof_nonsym_numeric(2.0, 2.0, 2.0, 0)
+
+    def test_sweep_rows_and_failures(self):
+        rows, failures = nonsym_sweep(4.0, 6.0, 8.0, 3)
+        assert [N for N, _, _ in rows] == [1, 2, 3] and failures == []
+        alloc, _ = nonsym_layered_allocation(4.0, 6.0, 8.0, 2)
+        assert rows[1] == (2, float(alloc.rates.sum()), float(np.sum(alloc.total_power)))
+        rows, failures = nonsym_sweep(1.0, 1.0, 1.0, 2)
+        assert rows == [] and [N for N, _ in failures] == [1, 2]
+        assert all(isinstance(exc, AllocationError) for _, exc in failures)
+
+    def test_sweep_dof_cases(self):
+        assert sweep_dof([]) == 1.0
+        assert sweep_dof([(1, 3.0, 63.0)]) == 3.0 / (0.5 * math.log2(63.0))
+        assert sweep_dof([(1, 0.1, 4.0), (2, 0.2, 16.0)]) == 1.0
+        assert sweep_dof([(1, 1.0, 4.0), (2, 4.0, 16.0)]) == 3.0
 
 
 class TestRateReport:
