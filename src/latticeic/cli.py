@@ -39,6 +39,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
+MAX_GRID_SIZE = 1_000_000  # baseline grid points; one baseline call at the cap takes about 3 s on 2 cores
+
 
 def _csv(header: list[str], rows) -> str:
     if not all(math.isfinite(x) for row in rows for x in row):
@@ -77,8 +79,8 @@ def cmd_dof_curve(args) -> tuple[str, dict, int]:
 
 
 def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
-    if not (0 < args.p_min <= args.p_max) or args.steps < 1 or args.grid_size < 2:
-        raise ConfigError("need 0 < p-min <= p-max, steps >= 1 and grid-size >= 2")
+    if not (0 < args.p_min <= args.p_max) or args.steps < 1 or not 2 <= args.grid_size <= MAX_GRID_SIZE:
+        raise ConfigError(f"need 0 < p-min <= p-max, steps >= 1 and 2 <= grid-size <= {MAX_GRID_SIZE}")
     a2 = squared_gain("--a", args.a)
     if args.p_min == args.p_max or args.steps == 1:
         grid = np.array([args.p_min])
@@ -208,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-min", type=float, default=1.0)
     p.add_argument("--p-max", type=float, default=1e6)
     p.add_argument("--steps", type=int, default=25)
-    p.add_argument("--grid-size", type=int, default=201)
+    p.add_argument(
+        "--grid-size", type=int, default=201,
+        help=f"common-power fractions searched by the baseline, 2 to {MAX_GRID_SIZE} (default 201)",
+    )
     p.set_defaults(func=cmd_sym_rate_compare)
 
     p = sub.add_parser("align-check", help="rational-ratio membership and alignment report")

@@ -167,37 +167,20 @@ def threshold_power(a2: float, N: int) -> float:
 # Han-Kobayashi style symmetric baseline (Gaussian, one private + one common)
 # ---------------------------------------------------------------------------
 
-def _max_symmetric_rate_two_var(caps: dict[tuple[int, int], float]) -> float:
-    """Maximize Rp + Rc >= 0 subject to a*Rp + b*Rc <= cap per (a, b)."""
-    cons = [(a, b, c) for (a, b), c in caps.items()]
-    best = 0.0
-    pts = [(0.0, 0.0)]
-    # axis intercepts
-    rp_max = min((c / a for a, b, c in cons if a > 0 and b == 0), default=math.inf)
-    rc_max = min((c / b for a, b, c in cons if b > 0 and a == 0), default=math.inf)
-    for a, b, c in cons:
-        if a > 0:
-            pts.append((c / a, 0.0))
-        if b > 0:
-            pts.append((0.0, c / b))
-    # pairwise intersections
-    for i in range(len(cons)):
-        a1, b1, c1 = cons[i]
-        for j in range(i + 1, len(cons)):
-            a2_, b2, c2 = cons[j]
-            det = a1 * b2 - a2_ * b1
-            if abs(det) < 1e-15:
-                continue
-            rp = (c1 * b2 - c2 * b1) / det
-            rc = (a1 * c2 - a2_ * c1) / det
-            pts.append((rp, rc))
-    for rp, rc in pts:
-        if rp < -1e-12 or rc < -1e-12:
-            continue
-        rp, rc = max(rp, 0.0), max(rc, 0.0)
-        if all(a * rp + b * rc <= c + 1e-12 for a, b, c in cons):
-            best = max(best, rp + rc)
-    return best
+# Lines a*Rp + b*Rc = cap of the baseline's LP: the seven MAC caps by
+# signature (#private, #common), then the axes Rc = 0 and Rp = 0 as
+# zero-cap lines. The LP's candidate vertices are the pairwise crossings
+# with a nonzero determinant; an axis crossing reproduces the intercept
+# cap/a or cap/b bit for bit.
+_HK_A = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+_HK_B = np.array([0, 1, 1, 2, 2, 3, 3, 1, 0], dtype=float)
+_HK_I, _HK_J = np.triu_indices(len(_HK_A), 1)
+_HK_DET = _HK_A[_HK_I] * _HK_B[_HK_J] - _HK_A[_HK_J] * _HK_B[_HK_I]
+_HK_I, _HK_J, _HK_DET = _HK_I[_HK_DET != 0], _HK_J[_HK_DET != 0], _HK_DET[_HK_DET != 0]
+# grid points per vectorised LP pass: each (block, 29) temporary stays
+# under malloc's 128 KiB mmap threshold, so it is reused from the heap
+# instead of being mapped and page-faulted in again on every call
+_HK_BLOCK = 256
 
 
 def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> float:
@@ -215,28 +198,30 @@ def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> floa
         raise ValueError("grid_size must be >= 2")
     a2 = a * a
     best = 0.0
-    for beta in np.linspace(0.0, 1.0, grid_size):
+    grid = np.linspace(0.0, 1.0, grid_size)
+    for start in range(0, grid_size, _HK_BLOCK):
+        beta = grid[start : start + _HK_BLOCK, None]
         pp = (1.0 - beta) * P  # own private power
         pc = beta * P  # own common power (gain 1)
         pi = a2 * beta * P  # each interfering common power
         eta = sigma2 + 2.0 * a2 * pp  # undecoded private interference
         # MAC-style caps over nonempty subsets of {private, own common,
-        # interferer common x2}; collapse to the binding cap per signature
-        # (#private msgs, #common msgs).
-        caps: dict[tuple[int, int], float] = {}
-        signals = [((1, 0), pp), ((0, 1), pc), ((0, 1), pi), ((0, 1), pi)]
-        for mask in range(1, 16):
-            np_, nc, pw = 0, 0, 0.0
-            for bit in range(4):
-                if mask >> bit & 1:
-                    sig, power = signals[bit]
-                    np_ += sig[0]
-                    nc += sig[1]
-                    pw += power
-            cap = 0.5 * math.log2(1.0 + pw / eta)
-            key = (np_, nc)
-            caps[key] = min(caps.get(key, math.inf), cap)
-        best = max(best, _max_symmetric_rate_two_var(caps))
+        # interferer common x2}, one per signature: the binding cap is the
+        # least-power subset's, its powers summed in subset bit order.
+        # math.log2, not np.log2, whose last bit can differ.
+        m = np.minimum(pc, pi)
+        pw = np.hstack([pp, m, pp + m, m + pi, pp + m + pi, pc + pi + pi, pp + pc + pi + pi])
+        logs = np.fromiter(map(math.log2, (1.0 + pw / eta).ravel().tolist()), float, pw.size)
+        c = np.zeros((len(beta), len(_HK_A)))  # the two axes keep cap 0
+        c[:, :7] = 0.5 * logs.reshape(pw.shape)
+        caps = c[:, :7]
+        rp = (c[:, _HK_I] * _HK_B[_HK_J] - c[:, _HK_J] * _HK_B[_HK_I]) / _HK_DET
+        rc = (_HK_A[_HK_I] * c[:, _HK_J] - _HK_A[_HK_J] * c[:, _HK_I]) / _HK_DET
+        feasible = ~((rp < -1e-12) | (rc < -1e-12))
+        rp, rc = np.maximum(rp, 0.0), np.maximum(rc, 0.0)  # NaN stays NaN and fails below
+        for k in range(7):  # one cap at a time keeps every temporary (block, 29)
+            feasible &= _HK_A[k] * rp + _HK_B[k] * rc <= caps[:, k, None] + 1e-12
+        best = max(best, float(np.max(rp + rc, where=feasible, initial=0.0)))
     return best
 
 

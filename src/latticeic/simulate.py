@@ -70,7 +70,10 @@ def _conforms(value, kind: str) -> bool:
     if kind == "int":
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if kind == "float":
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        try:
+            return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            return False
     return isinstance(value, {"bool": bool, "str": str}[kind])
 
 
@@ -209,6 +212,20 @@ def sphere_volume(n: int, radius: float) -> float:
     return math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1)
 
 
+def _volume_per_word(n: int, power: float, rate: float) -> float:
+    """Volume of the shaping sphere of power `power` per word of the 2^(nR)
+    codebook target, refused where a term leaves the float range."""
+    try:
+        vol = sphere_volume(n, math.sqrt(n * power)) / 2.0 ** (n * rate)
+    except OverflowError:
+        vol = math.inf
+    if not 0.0 < vol < math.inf:
+        raise ConfigError(
+            f"n={n}, rate={rate!r}, power={power!r}: the shaping-sphere volume per codeword leaves the float range"
+        )
+    return vol
+
+
 def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
     """(p, k) pairs whose coset count stays enumerable at desk scale."""
     pairs = []
@@ -226,8 +243,7 @@ def design_lattice(
 ) -> Lattice:
     """Random (n, k) code over Z_p, scaled so the fundamental volume matches
     the shaping-sphere volume divided by the codeword-count target."""
-    vol_target = sphere_volume(n, math.sqrt(n * power)) / 2.0 ** (n * rate)
-    gamma = (vol_target / p ** (n - k)) ** (1.0 / n)
+    gamma = (_volume_per_word(n, power, rate) / p ** (n - k)) ** (1.0 / n)
     return construction_a(make_linear_code(n, k, p, seed), gamma)
 
 
@@ -519,7 +535,7 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         p_mod, k = pairs[cand % len(pairs)]
         code = make_linear_code(n, k, p_mod, keyed_stream(cfg.master_seed, _CODE, cand, 0))
         gammas = [
-            (sphere_volume(n, math.sqrt(n * P)) / 2.0 ** (n * R) / p_mod ** (n - k)) ** (1.0 / n) / f
+            (_volume_per_word(n, P, R) / p_mod ** (n - k)) ** (1.0 / n) / f
             for P, R, f in zip(cfg.powers, cfg.rates, factors)
         ]
         lats = align_interference_lattices(ch, Lattice(code, 0.98 * min(gammas)))

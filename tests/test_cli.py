@@ -275,10 +275,26 @@ class TestBadInputs:
         # a^2 overflows
         '{"scheme": "layered-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.1], "a": 1e200}',
         '{"scheme": "very-strong-sym", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.1], "power": 3, "a": 1e200}',
+        # the codebook target 2^(nR), the sphere's radius**n, or their quotient leaves the float range
+        '{"scheme": "p2p", "n": 2, "trials": 100, "master_seed": 0, "rates": [512], "power": 3}',
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 1e200}',
+        '{"scheme": "p2p", "n": 10, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3e60}',
+        '{"scheme": "very-strong-general", "n": 4, "trials": 100, "master_seed": 0, "rates": [300, 0.3, 0.3],'
+        ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, 4], [4, 4, 1]]}',
+        # an integer too large for a float
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 1' + "0" * 400 + "}",
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
-            "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge"])
+            "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge",
+            "p2p-target-overflow", "p2p-sphere-overflow", "p2p-volume-inf", "general-target-overflow",
+            "power-huge-int"])
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
+
+    def test_codebook_volume_overflow_names_inputs(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, dict(scheme="p2p", n=2, trials=100, master_seed=0, rates=[512], power=3.0))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=2, rate=512, power=3.0: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["dof-curve", "--a2-min", "1", "--a2-max", "inf"],
@@ -293,6 +309,8 @@ class TestBadInputs:
         ["sym-rate-compare", "--a", "1e-200"],
         ["sym-rate-compare", "--a", "2.5", "--p-max", "inf"],
         ["sym-rate-compare", "--a", "2.5", "--grid-size", "1"],
+        # above MAX_GRID_SIZE: refused before any grid is allocated
+        ["sym-rate-compare", "--a", "1.0", "--steps", "1", "--grid-size", "1000000000000"],
     ], ids=" ".join)
     def test_bad_numeric_flag(self, tmp_path, capsys, argv):
         self.assert_validation_error(argv + ["--out", str(tmp_path / "x.csv")], capsys)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticeic.channel import ChannelMatrix3, class_h1_membership, symmetric_channel
 from latticeic.rates import (
+    _HK_BLOCK,
     AllocationError,
     _ladder,
     _very_strong_conditions,
@@ -249,6 +252,91 @@ class TestHkSymRate:
             hk_sym_rate(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             hk_sym_rate(1.0, 1.0, 1.0, grid_size=1)
+
+
+def reference_max_symmetric_rate(caps):
+    """The per-beta LP of the loop form of `hk_sym_rate`: maximize Rp + Rc
+    over every axis intercept and pairwise crossing of the cap lines."""
+    cons = [(a, b, c) for (a, b), c in caps.items()]
+    best = 0.0
+    pts = [(0.0, 0.0)]
+    for a, b, c in cons:
+        if a > 0:
+            pts.append((c / a, 0.0))
+        if b > 0:
+            pts.append((0.0, c / b))
+    for i in range(len(cons)):
+        a1, b1, c1 = cons[i]
+        for j in range(i + 1, len(cons)):
+            a2_, b2, c2 = cons[j]
+            det = a1 * b2 - a2_ * b1
+            if abs(det) < 1e-15:
+                continue
+            pts.append(((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2_ * c1) / det))
+    for rp, rc in pts:
+        if rp < -1e-12 or rc < -1e-12:
+            continue
+        rp, rc = max(rp, 0.0), max(rc, 0.0)
+        if all(a * rp + b * rc <= c + 1e-12 for a, b, c in cons):
+            best = max(best, rp + rc)
+    return best
+
+
+def reference_hk_sym_rate(P, sigma2, a, grid_size):
+    """The loop form of `hk_sym_rate`: one dict of MAC caps per beta, each
+    signature's cap the minimum over its power subsets."""
+    a2 = a * a
+    best = 0.0
+    for beta in np.linspace(0.0, 1.0, grid_size):
+        pp = (1.0 - beta) * P
+        pc = beta * P
+        pi = a2 * beta * P
+        eta = sigma2 + 2.0 * a2 * pp
+        caps = {}
+        signals = [((1, 0), pp), ((0, 1), pc), ((0, 1), pi), ((0, 1), pi)]
+        for mask in range(1, 16):
+            np_, nc, pw = 0, 0, 0.0
+            for bit in range(4):
+                if mask >> bit & 1:
+                    sig, power = signals[bit]
+                    np_ += sig[0]
+                    nc += sig[1]
+                    pw += power
+            cap = 0.5 * math.log2(1.0 + pw / eta)
+            caps[(np_, nc)] = min(caps.get((np_, nc), math.inf), cap)
+        best = max(best, reference_max_symmetric_rate(caps))
+    return best
+
+
+def powers_of_ten(moderate, extreme):
+    return st.one_of(st.floats(*moderate), st.floats(*extreme)).map(lambda e: 10.0**e)
+
+
+class TestHkReferenceEquality:
+    """The block-vectorised baseline reproduces the per-beta loop bit for
+    bit, from desk-scale inputs to ones whose powers overflow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        P=powers_of_ten((-3, 7), (-300, 307)),
+        sigma2=powers_of_ten((-2, 4), (-300, 300)),
+        a=powers_of_ten((-2, 1.5), (-150, 150)),
+        grid_size=st.integers(2, 300),
+    )
+    # np.log2 in place of math.log2 moves the last bit of these results on an AVX-512 CPU
+    @example(P=0.0334, sigma2=0.512, a=10.0, grid_size=2)
+    @example(P=1.4, sigma2=0.597, a=0.0159, grid_size=3)
+    @example(P=0.643, sigma2=57.7, a=8.58, grid_size=201)
+    # interfering and private powers overflow
+    @example(P=1e307, sigma2=1e-300, a=1e150, grid_size=201)
+    # the grid spans two blocks, the second of one point
+    @example(P=3.0, sigma2=1.0, a=2.5, grid_size=_HK_BLOCK + 1)
+    def test_equal_to_loop_form(self, P, sigma2, a, grid_size):
+        with np.errstate(all="ignore"):
+            got = hk_sym_rate(P, sigma2, a, grid_size)
+            want = reference_hk_sym_rate(P, sigma2, a, grid_size)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestVeryStrong:
