@@ -39,7 +39,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-MAX_GRID_SIZE = 1_000_000  # baseline grid points; one baseline call at the cap takes about 3 s on 2 cores
+# points of a sweep (--steps) or of the baseline's grid (--grid-size); one
+# baseline call at the cap takes about 3 s on 2 cores
+MAX_GRID_SIZE = 1_000_000
 
 
 def _csv(header: list[str], rows) -> str:
@@ -68,8 +70,8 @@ def _check_numeric_flags(args) -> None:
 def cmd_dof_curve(args) -> tuple[str, dict, int]:
     if not (0 < args.a2_min < args.a2_max):
         raise ConfigError("need 0 < a2-min < a2-max")
-    if args.steps < 2:
-        raise ConfigError("steps must be >= 2")
+    if not 2 <= args.steps <= MAX_GRID_SIZE:
+        raise ConfigError(f"steps must lie in 2 to {MAX_GRID_SIZE}")
     if args.log_axis:
         grid = np.logspace(math.log10(args.a2_min), math.log10(args.a2_max), args.steps)
     else:
@@ -79,8 +81,14 @@ def cmd_dof_curve(args) -> tuple[str, dict, int]:
 
 
 def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
-    if not (0 < args.p_min <= args.p_max) or args.steps < 1 or not 2 <= args.grid_size <= MAX_GRID_SIZE:
-        raise ConfigError(f"need 0 < p-min <= p-max, steps >= 1 and 2 <= grid-size <= {MAX_GRID_SIZE}")
+    if (
+        not 0 < args.p_min <= args.p_max
+        or not 1 <= args.steps <= MAX_GRID_SIZE
+        or not 2 <= args.grid_size <= MAX_GRID_SIZE
+    ):
+        raise ConfigError(
+            f"need 0 < p-min <= p-max, 1 <= steps <= {MAX_GRID_SIZE} and 2 <= grid-size <= {MAX_GRID_SIZE}"
+        )
     a2 = squared_gain("--a", args.a)
     if args.p_min == args.p_max or args.steps == 1:
         grid = np.array([args.p_min])
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a2-min", type=float, required=True)
     p.add_argument("--a2-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=int, default=200, help=f"grid points over a^2, 2 to {MAX_GRID_SIZE} (default 200)")
     p.add_argument("--log-axis", action="store_true")
     p.set_defaults(func=cmd_dof_curve)
 
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--p-min", type=float, default=1.0)
     p.add_argument("--p-max", type=float, default=1e6)
-    p.add_argument("--steps", type=int, default=25)
+    p.add_argument("--steps", type=int, default=25, help=f"powers in the sweep, 1 to {MAX_GRID_SIZE} (default 25)")
     p.add_argument(
         "--grid-size", type=int, default=201,
         help=f"common-power fractions searched by the baseline, 2 to {MAX_GRID_SIZE} (default 201)",

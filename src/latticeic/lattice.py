@@ -17,7 +17,8 @@ import numpy as np
 # Exhaustive decoding scans one candidate per codeword coset; this caps the
 # supported desk scale (n <= 10, p <= 13 with moderate k).
 MAX_COSETS = 2_000_000
-# Shaping enumeration refuses to expand a frontier beyond this many points.
+# Shaping enumeration refuses to expand one shift's frontier beyond this many
+# points, and splits a block of shifts whose joint frontier would pass it.
 MAX_SPHERE_POINTS = 2_000_000
 
 
@@ -279,43 +280,87 @@ class Codebook:
         return math.log2(len(self.words)) / self.lattice.n
 
 
-def _enumerate_shifted_sphere(lat: Lattice, shift: np.ndarray, power: float) -> np.ndarray:
-    """All points of (lat + shift) with squared norm <= n * power, ordered by
-    (coset, z_0, ..., z_{n-1}) where point = gamma*c + shift + gamma*p*z.
-
-    Breadth-first over the coordinates, all cosets at once: each prefix is
-    expanded into its ascending z-range and kept while its norm fits.
-    Raises ValueError before a level would exceed MAX_SPHERE_POINTS.
-    """
-    n, p, gamma = lat.n, lat.p, lat.gamma
+def _shaping_frontier(lat: Lattice, shifts: np.ndarray, power: float):
+    """The breadth-first frontier of every (shift, coset) prefix, shift-major,
+    over the coordinates: each prefix is expanded into its ascending z-range
+    and kept while its squared norm stays <= n * power. Returns the (shift,
+    coset) root of each final point and, per level, the parent index and the
+    coordinate of each kept point. None if the roots or a level would
+    exceed MAX_SPHERE_POINTS, so memory stays bounded whatever the number
+    of shifts; one shift's roots never do, as p**k <= MAX_COSETS =
+    MAX_SPHERE_POINTS."""
+    if len(shifts) * len(lat.code.codewords) > MAX_SPHERE_POINTS:
+        return None
+    n, gamma = lat.n, lat.gamma
     r2 = n * power
-    step = gamma * p
-    bases = gamma * lat.code.codewords + shift
-    owner = np.arange(len(bases))  # coset of each prefix
-    used = np.zeros(len(bases))  # squared norm of each prefix
-    words = np.zeros((len(bases), 0))
+    step = gamma * lat.p
+    offsets = gamma * lat.code.codewords
+    owner = np.arange(len(shifts) * len(offsets))  # (shift, coset) root, shift-major
+    used = np.zeros(len(owner))  # squared norm of each prefix
+    levels = []
     for i in range(n):
-        b = bases[owner, i]
+        # coordinate i of every root, built one level at a time to save memory
+        b = (offsets[:, i] + shifts[:, i, None]).ravel()[owner]
         half = np.sqrt(r2 - used)
         lo = np.ceil((-half - b) / step)
         counts = np.maximum(np.floor((half - b) / step) - lo + 1, 0)
         total = counts.sum()
         if not total <= MAX_SPHERE_POINTS:
-            raise ValueError(
-                f"shaping sphere needs over {MAX_SPHERE_POINTS} candidate points "
-                f"(n={n}, power={power}, p={p}, gamma={gamma:g})"
-            )
+            return None
         counts = counts.astype(np.int64)
-        parent = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts
-        z = lo[parent] + (np.arange(int(total)) - first[parent])
-        w = b[parent] + step * z
-        u = used[parent] + w * w
+        # int32 is enough: no level holds more than MAX_SPHERE_POINTS points
+        parent = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        # z, then w = b + step*z and u = used + w*w, in place to save memory
+        w = lo[parent] + (np.arange(int(total)) - (np.cumsum(counts) - counts)[parent])
+        w *= step
+        w += b[parent]
+        u = w * w
+        u += used[parent]
         keep = u <= r2
         parent = parent[keep]
         owner, used = owner[parent], u[keep]
-        words = np.column_stack((words[parent], w[keep]))
-    return words
+        levels.append((parent, w[keep]))
+    return owner, levels
+
+
+def _enumerate_shifted_spheres(
+    lat: Lattice, shifts: np.ndarray, power: float
+) -> tuple[int, np.ndarray]:
+    """Index of the first of the shifts (rows) whose (lat + shift) has the
+    most points of squared norm <= n * power, and those points, ordered by
+    (coset, z_0, ..., z_{n-1}) where point = gamma*c + shift + gamma*p*z.
+
+    One frontier serves all shifts and only the winner's words are rebuilt,
+    by walking the parent indices back. A block of shifts whose frontier
+    would exceed MAX_SPHERE_POINTS is split in halves; a single shift past
+    it raises ValueError.
+    """
+    grown = _shaping_frontier(lat, shifts, power)
+    if grown is None:
+        if len(shifts) == 1:
+            raise ValueError(
+                f"shaping sphere needs over {MAX_SPHERE_POINTS} candidate points "
+                f"(n={lat.n}, power={power}, p={lat.p}, gamma={lat.gamma:g})"
+            )
+        mid = len(shifts) // 2
+        first, first_words = _enumerate_shifted_spheres(lat, shifts[:mid], power)
+        second, second_words = _enumerate_shifted_spheres(lat, shifts[mid:], power)
+        if len(second_words) > len(first_words):
+            return mid + second, second_words
+        return first, first_words
+    owner, levels = grown
+    sizes = np.bincount(owner // len(lat.code.codewords), minlength=len(shifts))
+    best = int(np.argmax(sizes))
+    start = int(sizes[:best].sum())
+    node = np.arange(start, start + sizes[best])
+    # each level is freed as soon as it is read, before the words are built
+    columns = []
+    while levels:
+        parent, w = levels.pop()
+        columns.append(w[node])
+        node = parent[node]
+    del parent, w, owner
+    return best, np.column_stack(columns[::-1])
 
 
 def build_codebook(
@@ -327,8 +372,8 @@ def build_codebook(
     shift=None,
 ) -> Codebook:
     """Search random shifts in the fundamental cell and keep the codebook of
-    the best shift. `target_met` records whether |C| >= 2**(n*rate); the
-    result is never silently truncated.
+    the first shift with the most points. `target_met` records whether
+    |C| >= 2**(n*rate); the result is never silently truncated.
 
     An explicit `shift` bypasses the random search.
     """
@@ -342,26 +387,20 @@ def build_codebook(
     target = 2.0 ** (n * target_rate)
 
     if shift is not None:
-        shifts = [np.asarray(shift, dtype=float)]
+        shifts = np.broadcast_to(np.asarray(shift, dtype=float), (1, n))
     else:
-        rng = np.random.default_rng(seed)
         # [0, gamma*p)^n tiles space by the sublattice gamma*p*Z^n, so the
         # codebook cardinality as a function of the shift is periodic over it.
-        shifts = [rng.uniform(0, lat.gamma * lat.p, size=n) for _ in range(shift_trials)]
+        shifts = np.random.default_rng(seed).uniform(0, lat.gamma * lat.p, size=(shift_trials, n))
 
-    best_words = None
-    best_shift = None
-    for s in shifts:
-        words = _enumerate_shifted_sphere(lat, s, power)
-        if best_words is None or len(words) > len(best_words):
-            best_words, best_shift = words, s
+    best, words = _enumerate_shifted_spheres(lat, shifts, power)
     return Codebook(
         lattice=lat,
-        shift=best_shift,
+        shift=shifts[best].copy(),
         power=float(power),
-        words=best_words,
+        words=words,
         target_rate=float(target_rate),
-        target_met=len(best_words) >= target - 1e-9,
+        target_met=len(words) >= target - 1e-9,
     )
 
 

@@ -311,6 +311,11 @@ class TestBadInputs:
         ["sym-rate-compare", "--a", "2.5", "--grid-size", "1"],
         # above MAX_GRID_SIZE: refused before any grid is allocated
         ["sym-rate-compare", "--a", "1.0", "--steps", "1", "--grid-size", "1000000000000"],
+        # above MAX_GRID_SIZE: refused before any sweep is allocated
+        ["dof-curve", "--a2-min", "1", "--a2-max", "2", "--steps", "1000000000000000"],
+        ["dof-curve", "--a2-min", "1", "--a2-max", "2", "--steps", "1000001", "--log-axis"],
+        ["sym-rate-compare", "--a", "2.5", "--steps", "1000000000000000"],
+        ["sym-rate-compare", "--a", "2.5", "--p-min", "1", "--p-max", "1", "--steps", "1000001"],
     ], ids=" ".join)
     def test_bad_numeric_flag(self, tmp_path, capsys, argv):
         self.assert_validation_error(argv + ["--out", str(tmp_path / "x.csv")], capsys)

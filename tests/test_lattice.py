@@ -1,5 +1,6 @@
 """Lattice construction, quantization and codebook extraction."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticeic import lattice
 from latticeic.lattice import (
     MAX_SPHERE_POINTS,
     Codebook,
@@ -26,7 +28,7 @@ from latticeic.lattice import (
     nearest_point,
     nearest_points_batch,
     scale_lattice,
-    _enumerate_shifted_sphere,
+    _enumerate_shifted_spheres,
 )
 
 
@@ -251,6 +253,29 @@ class TestBuildCodebook:
         with pytest.raises(ValueError):
             build_codebook(lat, power=1.0, target_rate=0.5, shift_trials=0)
 
+    @pytest.mark.parametrize("case, digest", [
+        # (n, k, p, code seed, gamma, power, rate, shift_trials, seed, shift)
+        ((2, 1, 5, 0, 0.5, 8.0, 2.5, 8, 0, None),
+         "24dbf936ef1222d066df964950d2151269c0377dcc3994b83a017af6a20f900a"),
+        ((4, 2, 7, 11, 0.6, 3.0, 0.5, 1, 11, None),
+         "c1ef9a7591688ee0ed3af4de1c7c8af394671f1aaad6bfc52229a4f53c99883d"),
+        ((3, 2, 5, 3, 0.8, 6.0, 0.5, 3, 3, None),
+         "db0eec6d412d03c19a9e6d0a8798c4a4497c9febebe3b16fd2ef6b215e4eade9"),
+        ((3, 1, 5, 4, 0.9, 5.0, 0.5, 1, 0, [0.1, 0.2, 0.3]),
+         "eaa8b90756c8d9a524f4e4f11ec844672cc006515fa8d1a6ed04097e05d4e377"),
+        # two words against a target of 2**6: target missed
+        ((4, 1, 7, 5, 1.0, 2.0, 1.5, 4, 5, None),
+         "3c02319dbee52c2f6edf20571cc8d4b7a460e60115f6173d13b257d8728d2190"),
+        ((6, 3, 3, 6, 0.7, 2.0, 0.75, 8, 6, None),
+         "5892158c7c2228884300203bf318688436f572ac07371cc3cb0ee2ea2bf05128"),
+    ], ids=["trials8", "trials1", "trials3", "explicit-shift", "target-missed", "n6-trials8"])
+    def test_pinned(self, case, digest):
+        n, k, p, code_seed, gamma, power, rate, trials, seed, shift = case
+        lat = construction_a(make_linear_code(n, k, p, seed=code_seed), gamma)
+        cb = build_codebook(lat, power, rate, shift_trials=trials, seed=seed, shift=shift)
+        doc = json.dumps([cb.shift.tolist(), cb.words.tolist(), cb.target_met])
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
 
 class TestScaleLattice:
     def test_doubling_integer_lattice(self):
@@ -354,8 +379,9 @@ def reference_nearest_batch(lat, ys):
     return lat.gamma * cands[np.arange(len(ys)), idx]
 
 
-def reference_enumeration(lat, shift, power):
-    """Reference enumeration: depth-first per coset, ascending z per coordinate."""
+def reference_enumeration(lat, shift, power, candidates=None):
+    """Reference enumeration: depth-first per coset, ascending z per
+    coordinate. Adds each level's candidate count to `candidates` if given."""
     n, p, gamma = lat.n, lat.p, lat.gamma
     r2 = n * power
     step = gamma * p
@@ -371,6 +397,8 @@ def reference_enumeration(lat, shift, power):
             half = math.sqrt(r2 - used)
             lo = math.ceil((-half - base[i]) / step)
             hi = math.floor((half - base[i]) / step)
+            if candidates is not None:
+                candidates[i] += max(hi - lo + 1, 0)
             for z in range(lo, hi + 1):
                 w = base[i] + step * z
                 if used + w * w <= r2:
@@ -379,6 +407,13 @@ def reference_enumeration(lat, shift, power):
 
         dfs(0, 0.0)
     return np.array(words).reshape(-1, n)
+
+
+def reference_best(lat, shifts, power):
+    """The first shift with the most points and its reference words."""
+    per_shift = [reference_enumeration(lat, s, power) for s in shifts]
+    best = int(np.argmax([len(w) for w in per_shift]))
+    return best, per_shift[best]
 
 
 # cosets times rows times n stays small enough for the broadcast reference
@@ -414,28 +449,63 @@ class TestReferenceEquality:
         assert np.array_equal(nearest_points_batch(lat, ys), reference_nearest_batch(lat, ys))
 
     @settings(max_examples=60, deadline=None)
-    @given(points=st.floats(0.0, 300.0), **lattice_params)
-    @example(n=3, p=5, k_frac=0.0, seed=0, gamma=1.0, points=20.0)
-    @example(n=5, p=3, k_frac=0.5, seed=2, gamma=1.5, points=0.0)
-    def test_enumerated_words_in_order(self, n, p, k_frac, seed, gamma, points):
+    @given(points=st.floats(0.0, 300.0), trials=st.integers(1, 10), **lattice_params)
+    @example(n=3, p=5, k_frac=0.0, seed=0, gamma=1.0, points=20.0, trials=1)
+    @example(n=5, p=3, k_frac=0.5, seed=2, gamma=1.5, points=0.0, trials=4)
+    @example(n=2, p=2, k_frac=0.0, seed=3, gamma=1.0, points=3.0, trials=10)
+    def test_enumerated_words_in_order(self, n, p, k_frac, seed, gamma, points, trials):
         lat = reference_lattice(n, p, int(k_frac * n), seed, gamma)
-        shift = np.random.default_rng(seed).uniform(0, gamma * p, size=n)
+        shifts = np.random.default_rng(seed).uniform(0, gamma * p, size=(trials, n))
         # the power whose sphere holds about `points` lattice points
         volume = fundamental_volume(lat) * points * math.gamma(n / 2 + 1) / math.pi ** (n / 2)
         power = max(volume ** (2 / n) / n, 1e-9)
-        got = _enumerate_shifted_sphere(lat, shift, power)
-        want = reference_enumeration(lat, shift, power)
+        best, got = _enumerate_shifted_spheres(lat, shifts, power)
+        want_best, want = reference_best(lat, shifts, power)
+        assert best == want_best
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
+    def test_duplicated_shift_first_wins(self):
+        lat = construction_a(make_linear_code(3, 1, 5, seed=4), 0.9)
+        shifts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+        best, got = _enumerate_shifted_spheres(lat, shifts, 5.0)
+        assert best == 0
+        assert np.array_equal(got, reference_enumeration(lat, shifts[0], 5.0))
+
     def test_empty_codebook(self):
         lat = construction_a(make_linear_code(4, 2, 7, seed=3), 1.0)
-        shift = np.full(4, 3.5)
-        got = _enumerate_shifted_sphere(lat, shift, 1e-6)
+        shifts = np.array([[3.5] * 4, [3.4] * 4, [3.6] * 4])
+        best, got = _enumerate_shifted_spheres(lat, shifts, 1e-6)
+        assert best == 0
         assert got.shape == (0, 4)
-        assert np.array_equal(got, reference_enumeration(lat, shift, 1e-6))
+        assert np.array_equal(got, reference_enumeration(lat, shifts[0], 1e-6))
 
+    def test_split_blocks_match_unsplit(self, monkeypatch):
+        lat = construction_a(make_linear_code(3, 1, 5, seed=4), 0.9)
+        a, b = np.random.default_rng(5).uniform(0, 0.9 * 5, size=(2, 3))
+        # the winner's copy in the second half ties with it
+        shifts = np.array([a, b, a, b])
+        best, words = _enumerate_shifted_spheres(lat, shifts, 6.0)
+        want_best, want = reference_best(lat, shifts, 6.0)
+        assert best == want_best and np.array_equal(words, want) and len(want) > 0
+        # a cap every single shift fits under but the whole block does not:
+        # its 20 roots pass it, and each half's levels do
+        peak = 0
+        for s in (a, b):
+            per_level = np.zeros(3, dtype=np.int64)
+            reference_enumeration(lat, s, 6.0, per_level)
+            peak = max(peak, int(per_level.max()))
+        monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", peak)
+        blocks = []
+        grow = lattice._shaping_frontier
+        monkeypatch.setattr(lattice, "_shaping_frontier", lambda *args: blocks.append(len(args[1])) or grow(*args))
+        split_best, split_words = _enumerate_shifted_spheres(lat, shifts, 6.0)
+        assert blocks[:2] == [4, 2]  # the whole block was split
+        assert split_best == best
+        assert np.array_equal(split_words, words)
     def test_point_cap(self):
         lat = construction_a(zero_code(4, 2), 0.01)
-        with pytest.raises(ValueError, match=str(MAX_SPHERE_POINTS)):
-            _enumerate_shifted_sphere(lat, np.zeros(4), 3.0)
+        # one shift past the cap, alone or after the block is split
+        for trials in (1, 3):
+            with pytest.raises(ValueError, match=str(MAX_SPHERE_POINTS)):
+                _enumerate_shifted_spheres(lat, np.zeros((trials, 4)), 3.0)
