@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelMatrix3,
     channel_from_json,
-    check_power,
     class_h1_membership,
     receive,
     symmetric_channel,
@@ -30,7 +29,6 @@ from .rates import (
     AllocationError,
     LayeredAllocation,
     RateReport,
-    SigmaLadder,
     dof_nonsym_numeric,
     dof_symmetric,
     hk_sym_rate,
@@ -63,12 +61,10 @@ __all__ = [
     "LayeredAllocation",
     "LinearCode",
     "RateReport",
-    "SigmaLadder",
     "SimConfig",
     "align_interference_lattices",
     "build_codebook",
     "channel_from_json",
-    "check_power",
     "class_h1_membership",
     "construction_a",
     "dof_nonsym_numeric",

@@ -40,10 +40,6 @@ class ChannelMatrix3:
             if q == 0 or gcd(p, q) != 1:
                 raise ValueError(f"witness ({p}, {q}) is not a reduced fraction")
 
-    def cross_ratio(self) -> float:
-        h = self.h
-        return (h[0, 1] / h[1, 0]) * (h[1, 2] / h[2, 1]) * (h[2, 0] / h[0, 2])
-
 
 def symmetric_channel(a: float) -> ChannelMatrix3:
     """All off-diagonal gains equal to a; the cyclic ratio is exactly 1."""
@@ -137,10 +133,3 @@ def transmit(
         for j in range(3)
     )
 
-
-def check_power(x, P: float, tol: float = 0.0) -> bool:
-    """Average-power constraint: (1/n) sum x_i^2 <= P + tol."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 1:
-        raise ValueError("empty block")
-    return float(np.mean(x**2)) <= P + tol

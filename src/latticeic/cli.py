@@ -73,7 +73,8 @@ def cmd_dof_curve(args) -> tuple[str, dict, int]:
     if not 2 <= args.steps <= MAX_GRID_SIZE:
         raise ConfigError(f"steps must lie in 2 to {MAX_GRID_SIZE}")
     if args.log_axis:
-        grid = np.logspace(math.log10(args.a2_min), math.log10(args.a2_max), args.steps)
+        with np.errstate(over="ignore"):  # an end point may round up to inf, which dof_symmetric refuses
+            grid = np.logspace(math.log10(args.a2_min), math.log10(args.a2_max), args.steps)
     else:
         grid = np.linspace(args.a2_min, args.a2_max, args.steps)
     rows = [(float(a2), dof_symmetric(float(a2))) for a2 in grid]
@@ -90,6 +91,9 @@ def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
             f"need 0 < p-min <= p-max, 1 <= steps <= {MAX_GRID_SIZE} and 2 <= grid-size <= {MAX_GRID_SIZE}"
         )
     a2 = squared_gain("--a", args.a)
+    # every power sum of the baseline, also in the weak regime's residual layer, is <= 1 + (1 + 2a^2) P
+    if not 2.0 * (1.0 + 2.0 * a2) * args.p_max < math.inf:
+        raise ConfigError(f"(1 + 2a^2) * p-max must stay below half the float maximum, got p-max {args.p_max!r}")
     if args.p_min == args.p_max or args.steps == 1:
         grid = np.array([args.p_min])
     else:

@@ -7,8 +7,6 @@ the types are immutable after construction.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -260,9 +258,7 @@ class Codebook:
 
     lattice: Lattice
     shift: np.ndarray
-    power: float
     words: np.ndarray  # shape (M, n)
-    target_rate: float
     target_met: bool
 
     def __post_init__(self):
@@ -271,13 +267,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    @property
-    def rate(self) -> float:
-        """Achieved rate in bits per dimension."""
-        if len(self.words) == 0:
-            return -math.inf
-        return math.log2(len(self.words)) / self.lattice.n
 
 
 def _shaping_frontier(lat: Lattice, shifts: np.ndarray, power: float):
@@ -397,9 +386,7 @@ def build_codebook(
     return Codebook(
         lattice=lat,
         shift=shifts[best].copy(),
-        power=float(power),
         words=words,
-        target_rate=float(target_rate),
         target_met=len(words) >= target - 1e-9,
     )
 
@@ -417,32 +404,3 @@ def count_points_in_box(lat: Lattice, half_width: float) -> int:
         total += int(np.prod(per_coord))
     return total
 
-
-def lattice_to_json(lat: Lattice) -> str:
-    doc = {
-        "n": lat.n,
-        "k": lat.code.k,
-        "p": lat.p,
-        "gamma": lat.gamma,
-        "generators": lat.code.generators.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def lattice_from_json(text: str) -> Lattice:
-    doc = json.loads(text)
-    code = LinearCode(doc["n"], doc["k"], doc["p"], np.array(doc["generators"], dtype=np.int64).reshape(doc["k"], doc["n"]))
-    return Lattice(code, float(doc["gamma"]))
-
-
-def codebook_to_json(cb: Codebook) -> str:
-    doc = {
-        "n": cb.lattice.n,
-        "k": cb.lattice.code.k,
-        "p": cb.lattice.p,
-        "gamma": cb.lattice.gamma,
-        "generators": cb.lattice.code.generators.tolist(),
-        "shift": cb.shift.tolist(),
-        "power": cb.power,
-    }
-    return json.dumps(doc)

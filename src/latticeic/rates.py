@@ -8,7 +8,7 @@ freedom ratio is base-invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,47 +32,20 @@ class LayeredAllocation:
     """
 
     regime: str  # "strong" | "weak" | "nonsymmetric"
-    N: int
     powers: np.ndarray
     rates: np.ndarray
     total_power: float | np.ndarray
-    decode_order: str  # "interference-first" | "message-first"
 
 
 @dataclass(frozen=True)
 class RateReport:
     per_user_rates: tuple[float, float, float]
-    sum_rate: float
-    dof_lower_bound: float
     binding_constraint: str
-    scheme: str  # "lattice-layered" | "HK" | "very-strong" | "time-sharing"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "rates_bits_per_dim": list(self.per_user_rates),
-            "sum_rate": self.sum_rate,
-            "dof": self.dof_lower_bound,
-            "binding_constraint": self.binding_constraint,
-        }
+    scheme: str  # "lattice-layered" | "HK" | "very-strong"
 
 
-@dataclass(frozen=True)
-class SigmaLadder:
-    """Effective noise powers per (user, stage): when decoding the aggregate
-    interference and when decoding the own sub-message. Includes the unit
-    receiver noise floor, so every entry is >= 1."""
-
-    sigma_int2: np.ndarray  # shape (3, N)
-    sigma_msg2: np.ndarray  # shape (3, N)
-
-
-def _report(rates, scheme, binding, total_power) -> RateReport:
-    r = tuple(float(x) for x in rates)
-    s = sum(r)
-    denom = 0.5 * math.log2(1.0 + total_power) if total_power > 0 else 0.0
-    dof = s / denom if denom > 0 else 0.0
-    return RateReport(r, s, max(dof, 0.0), binding, scheme)
+def _report(rates, scheme, binding) -> RateReport:
+    return RateReport(tuple(float(x) for x in rates), binding, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +100,9 @@ def layered_allocation_symmetric(a2: float, N: int) -> LayeredAllocation:
     powers = base * ratio ** (N - i)
     return LayeredAllocation(
         regime=regime,
-        N=N,
         powers=powers,
         rates=np.full(N, 0.5 * math.log2(gain)),
         total_power=float(powers.sum()),
-        decode_order="interference-first" if regime == "strong" else "message-first",
     )
 
 
@@ -246,7 +217,7 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
 
     if WEAK_MAX_A2 < a2 < STRONG_MIN_A2:
         r = hk_oracle(P, 1.0, a)
-        return _report([r] * 3, "HK", "band-fallback", 3 * P)
+        return _report([r] * 3, "HK", "band-fallback")
 
     regime, base, _, gain = _ladder(a2)
     stage = 0.5 * math.log2(gain)
@@ -257,22 +228,22 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
     PaN = threshold_power(a2, N)
     if abs(PaN - P) <= eq_rtol * max(P, 1.0) and N >= 1:
         case = "case-c" if regime == "strong" else "case-f"
-        return _report([N * stage] * 3, "lattice-layered", case, 3 * P)
+        return _report([N * stage] * 3, "lattice-layered", case)
 
     if regime == "strong":
         if P <= base:
             r = max(0.0, 0.5 * math.log2(P))
-            return _report([r] * 3, "very-strong", "case-a", 3 * P)
+            return _report([r] * 3, "very-strong", "case-a")
         # P strictly between thresholds N and N+1
         top = 0.5 * math.log2(
             1.0 + (2.0 * a2 + 1.0) * (P - PaN) / (1.0 + (2.0 * a2 + 1.0) * PaN)
         )
-        return _report([N * stage + top] * 3, "lattice-layered", "case-b", 3 * P)
+        return _report([N * stage + top] * 3, "lattice-layered", "case-b")
 
     # weak regime
     if N == 0:
         r = hk_oracle(P, 1.0, a)
-        return _report([r] * 3, "HK", "case-d", 3 * P)
+        return _report([r] * 3, "HK", "case-d")
     best = -math.inf
     for i in (N - 1, N):
         Pa_i = threshold_power(a2, i)
@@ -280,7 +251,7 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
         # unit receiver noise added to the undecoded lower-layer interference
         r_i = i * stage + hk_oracle(residual, 1.0 + (2.0 * a2 + 1.0) * Pa_i, a)
         best = max(best, r_i)
-    return _report([best] * 3, "lattice-layered", "case-e", 3 * P)
+    return _report([best] * 3, "lattice-layered", "case-e")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +265,7 @@ def very_strong_symmetric(a2: float, P: float, sigma2: float = 1.0) -> RateRepor
     if a2 < P / sigma2 + 1.0:
         return None
     r = max(0.0, 0.5 * math.log2(P / sigma2))
-    return _report([r] * 3, "very-strong", "message-decoding", 3 * P)
+    return _report([r] * 3, "very-strong", "message-decoding")
 
 
 # (p^2-link, q^2-link) of each very-strong condition set, as (receiver,
@@ -331,7 +302,7 @@ def very_strong_general(
     for idx, ok in enumerate(conds, start=1):
         if ok:
             rates = [max(0.0, 0.5 * math.log2(P[i] / sigma2[i])) for i in range(3)]
-            return _report(rates, "very-strong", f"condition-set-{idx}", sum(P)), idx
+            return _report(rates, "very-strong", f"condition-set-{idx}"), idx
     return None
 
 
@@ -341,7 +312,7 @@ def very_strong_general(
 
 def nonsym_layered_allocation(
     a1: float, a2: float, a3: float, N: int
-) -> tuple[LayeredAllocation, SigmaLadder]:
+) -> LayeredAllocation:
     """Layered allocation for the channel where receiver j hears both
     interferers through gain a_j, all squared gains >= 2.
 
@@ -349,10 +320,11 @@ def nonsym_layered_allocation(
     stage effective noise at (user j, stage i) counts the unit receiver
     noise plus everything below stage i:
 
-        sigma_msg2[j, i] = 1 + sum_{l>i} P[j, l] + a_j^2 * sum_{l != j, k>i} P[l, k]
+        s_msg[j, i] = 1 + sum_{l>i} P[j, l] + a_j^2 * sum_{l != j, k>i} P[l, k]
 
     which depends only on later stages, so each stage is solved in closed
-    form:  P[j, i] = min_{l != j} a_j^2 * sigma_msg2[l, i] - sigma_msg2[j, i].
+    form:  P[j, i] = min_{l != j} a_j^2 * s_msg[l, i] - s_msg[j, i], and
+    its rate is (1/2)log2(P[j, i] / s_msg[j, i]).
     """
     gains = np.array([a1, a2, a3], dtype=float)
     g2 = gains**2
@@ -374,17 +346,12 @@ def nonsym_layered_allocation(
                 raise AllocationError(
                     f"nonpositive power at user {j + 1}, stage {i + 1}"
                 )
-    rates = 0.5 * np.log2(P / s_msg)
-    s_int = s_msg + P
-    alloc = LayeredAllocation(
+    return LayeredAllocation(
         regime="nonsymmetric",
-        N=N,
         powers=P,
-        rates=rates,
+        rates=0.5 * np.log2(P / s_msg),
         total_power=P.sum(axis=1),
-        decode_order="interference-first",
     )
-    return alloc, SigmaLadder(sigma_int2=s_int, sigma_msg2=s_msg)
 
 
 def nonsym_sweep(
@@ -397,7 +364,7 @@ def nonsym_sweep(
     with np.errstate(over="ignore", invalid="ignore"):
         for N in range(1, N_max + 1):
             try:
-                alloc, _ = nonsym_layered_allocation(a1, a2, a3, N)
+                alloc = nonsym_layered_allocation(a1, a2, a3, N)
             except AllocationError as exc:
                 failures.append((N, exc))
                 continue

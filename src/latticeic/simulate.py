@@ -48,6 +48,15 @@ _CODE, _SHIFT, _MSG, _NOISE = 1, 2, 3, 4
 _DECODE_BATCH_ELEMS = 6_000_000
 _MATCH_TOL = 1e-6
 
+# Caps on the work of one config, measured at n = 10 on 2 cores: 0.91 GB at the trials cap
+# (three layers); 0.36 GB and 51 s at the shift_trials cap (p2p), as the shaping frontier is
+# capped; candidates run one at a time, so the search budget's cap bounds run time.
+MAX_TRIALS = 1_000_000
+MAX_SHIFT_TRIALS = 1_000_000
+MAX_SEARCH_BUDGET = 10_000
+# largest admitted SimConfig.squared_distance_bound, 1.8e8 below the float maximum
+MAX_SQUARED_DISTANCE = 1e300
+
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
@@ -102,25 +111,20 @@ class SimConfig:
             value = getattr(self, f.name)
             if not (value is None and optional) and not _conforms(value, kind):
                 raise ConfigError(f"config field {f.name!r} must be {f.type} (finite, not bool), got {value!r}")
-        if self.scheme not in (
-            "p2p",
-            "very-strong-sym",
-            "layered-sym",
-            "very-strong-general",
-        ):
+        if self.scheme not in _DRIVERS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not 2 <= self.n <= 10:
             raise ConfigError("block length n must be in [2, 10]")
-        if self.trials < 100:
-            raise ConfigError("trials must be >= 100")
+        for name, low, cap in (("trials", 100, MAX_TRIALS), ("search_budget", 1, MAX_SEARCH_BUDGET),
+                               ("shift_trials", 1, MAX_SHIFT_TRIALS)):
+            if not low <= getattr(self, name) <= cap:
+                raise ConfigError(f"{name} must lie in {low} to {cap}")
         if self.sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         if self.sigma2s is not None and (
             len(self.sigma2s) != 3 or any(s <= 0 for s in self.sigma2s)
         ):
             raise ConfigError("sigma2s must hold 3 positive per-receiver noise powers")
-        if self.search_budget < 1 or self.shift_trials < 1:
-            raise ConfigError("search budget and shift trials must be >= 1")
         if not self.rates or any(r < 0 for r in self.rates):
             raise ConfigError("rates must be nonnegative and nonempty")
         if self.scheme == "p2p":
@@ -151,12 +155,34 @@ class SimConfig:
             if len(self.rates) != self.N:
                 raise ConfigError("need one rate per layer")
         else:
-            if self.h is None or self.powers is None:
-                raise ConfigError(
-                    "very-strong-general requires channel matrix and per-user powers"
-                )
-            if len(self.rates) != 3 or len(self.powers) != 3:
-                raise ConfigError("need per-user rates and powers")
+            if self.h is None or len(self.h) != 3 or any(len(row) != 3 for row in self.h):
+                raise ConfigError("very-strong-general requires a 3x3 channel matrix h")
+            if self.powers is None or len(self.rates) != 3 or len(self.powers) != 3 or min(self.powers) <= 0:
+                raise ConfigError("very-strong-general requires 3 per-user rates and 3 positive powers")
+        if not (bound := self.squared_distance_bound()) <= MAX_SQUARED_DISTANCE:
+            raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
+
+    def squared_distance_bound(self) -> float:
+        """n * (3S)^2, a bound on every squared distance the decoders compute.
+
+        S = sum_k |g_k| A_k + 40 sigma bounds receiver 1's coordinates: g_k is
+        1 for its own user and a, or h12 and h13, for the others; A_k sums
+        sqrt(n P_l) over user k's layer powers (the ladder's for layered-sym);
+        sigma^2 is the noise power, and 40 sigma is beyond any normal draw. A
+        residual stays within 2S and a candidate within S."""
+        if self.scheme == "very-strong-general":
+            gains, layers, noise = self.h[0], [[P] for P in self.powers], (self.sigma2s or [self.sigma2])[0]
+        else:
+            if self.scheme == "layered-sym":
+                _, base, ratio, _ = _ladder(self.a**2)
+                own = [base, base * ratio, base * ratio * ratio][: self.N]  # products: ** raises on overflow
+            else:
+                own = [self.power]
+            gains = [1.0] if self.scheme == "p2p" else [1.0, self.a, self.a]
+            layers, noise = [own] * 3, self.sigma2
+        S = sum(abs(g) * sum(math.sqrt(self.n * P) for P in ps) for g, ps in zip(gains, layers))
+        d = 3.0 * (S + 40.0 * math.sqrt(noise))
+        return self.n * d * d
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -208,15 +234,11 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def sphere_volume(n: int, radius: float) -> float:
-    return math.pi ** (n / 2) * radius**n / math.gamma(n / 2 + 1)
-
-
 def _volume_per_word(n: int, power: float, rate: float) -> float:
     """Volume of the shaping sphere of power `power` per word of the 2^(nR)
     codebook target, refused where a term leaves the float range."""
     try:
-        vol = sphere_volume(n, math.sqrt(n * power)) / 2.0 ** (n * rate)
+        vol = math.pi ** (n / 2) * math.sqrt(n * power) ** n / math.gamma(n / 2 + 1) / 2.0 ** (n * rate)
     except OverflowError:
         vol = math.inf
     if not 0.0 < vol < math.inf:
@@ -566,12 +588,15 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
     return _search(cfg, build, run)
 
 
+_DRIVERS = {
+    "p2p": simulate_point_to_point,
+    "very-strong-sym": simulate_very_strong_symmetric,
+    "layered-sym": simulate_layered_symmetric,
+    "very-strong-general": simulate_very_strong_general,
+}
+
+
 def run_simulation(cfg: SimConfig) -> ErrorStats:
     """Dispatch on the configured scheme."""
     cfg.validate()
-    return {
-        "p2p": simulate_point_to_point,
-        "very-strong-sym": simulate_very_strong_symmetric,
-        "layered-sym": simulate_layered_symmetric,
-        "very-strong-general": simulate_very_strong_general,
-    }[cfg.scheme](cfg)
+    return _DRIVERS[cfg.scheme](cfg)

@@ -178,7 +178,7 @@ def test_criterion_6_symmetric_reduction_oracle():
     for a2 in (3.0, 10.0):
         a = math.sqrt(a2)
         for N in range(1, 11):
-            alloc, _ = nonsym_layered_allocation(a, a, a, N)
+            alloc = nonsym_layered_allocation(a, a, a, N)
             sym = layered_allocation_symmetric(a2, N)
             for j in range(3):
                 if not np.allclose(alloc.powers[j], sym.powers, rtol=1e-9):

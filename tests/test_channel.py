@@ -9,13 +9,11 @@ import pytest
 from latticeic.channel import (
     ChannelMatrix3,
     channel_from_json,
-    check_power,
     class_h1_membership,
     receive,
     symmetric_channel,
     transmit,
 )
-from latticeic.lattice import build_codebook, construction_a, make_linear_code
 
 
 def matrix_with_cross(h12=1.0, h13=1.0, h21=1.0, h23=1.0, h31=1.0, h32=1.0):
@@ -32,10 +30,10 @@ class TestChannelMatrix:
         ch = symmetric_channel(2.5)
         off = ch.h[~np.eye(3, dtype=bool)]
         assert np.all(off == 2.5)
-        assert ch.cross_ratio() == pytest.approx(1.0)
+        assert class_h1_membership(ch.h) == (1, 1)
 
     def test_negative_gain_valid(self):
-        assert symmetric_channel(-1.0).cross_ratio() == pytest.approx(1.0)
+        assert class_h1_membership(symmetric_channel(-1.0).h) == (1, 1)
 
     def test_rejects_non_unit_diagonal(self):
         h = np.eye(3) * 2.0
@@ -156,19 +154,3 @@ class TestTransmit:
                 rows = transmit(ch, *xs[:, t], noise_seed=0, sigma2=0.0)
                 assert np.array_equal(batched[t], rows[j])
 
-
-class TestCheckPower:
-    def test_at_limit(self):
-        assert check_power(np.ones(4), 1.0)
-
-    def test_over_limit(self):
-        assert not check_power(np.array([2.0, 0.0]), 1.0)
-
-    def test_codebook_words_satisfy_their_power(self):
-        lat = construction_a(make_linear_code(3, 2, 5, seed=4), 0.7)
-        cb = build_codebook(lat, power=5.0, target_rate=0.5, shift_trials=4, seed=4)
-        assert all(check_power(w, cb.power, tol=0.0) for w in cb.words)
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            check_power(np.array([]), 1.0)

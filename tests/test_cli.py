@@ -9,11 +9,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from latticeic.rates import dof_symmetric
+from latticeic.simulate import MAX_SEARCH_BUDGET, MAX_SHIFT_TRIALS, MAX_TRIALS
 
 
 def read_csv(path):
@@ -205,6 +206,13 @@ class TestDofNonsym:
         assert main(argv) == EXIT_VALIDATION
 
 
+# A config whose decoder squared distances overflow, so that every candidate
+# would tie at inf and the run report a wrong error rate; it is refused.
+OVERFLOW_CONFIG = dict(
+    scheme="very-strong-sym", n=2, trials=200, master_seed=3, rates=[0.25], power=1e200, a=1e100, search_budget=2,
+)
+
+
 class TestBadInputs:
     """Each bad input exits 2 with a one-line `error:` message, no traceback."""
 
@@ -283,10 +291,26 @@ class TestBadInputs:
         ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, 4], [4, 4, 1]]}',
         # an integer too large for a float
         '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 1' + "0" * 400 + "}",
+        # the decoders' squared distances could overflow
+        json.dumps(OVERFLOW_CONFIG),
+        '{"scheme": "layered-sym", "n": 2, "trials": 100, "master_seed": 0, "rates": [0.1, 0.1], "N": 2, "a": 1e40}',
+        '{"scheme": "very-strong-general", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.3, 0.3, 0.3],'
+        ' "powers": [3, 3, 3], "h": [[1, 1e160, 1e160], [1e160, 1, 1e160], [1e160, 1e160, 1]]}',
+        '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3, "sigma2": 1e308}',
+        '{"scheme": "very-strong-general", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.3, 0.3, 0.3],'
+        ' "powers": [3, 3, 3], "h": [[1, 4], [4, 1]]}',
+        # one above each size cap
+        f'{{"scheme": "p2p", "n": 4, "trials": {MAX_TRIALS + 1}, "master_seed": 0, "rates": [0.5], "power": 3}}',
+        f'{{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3,'
+        f' "shift_trials": {MAX_SHIFT_TRIALS + 1}}}',
+        f'{{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3,'
+        f' "search_budget": {MAX_SEARCH_BUDGET + 1}}}',
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
             "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge",
             "p2p-target-overflow", "p2p-sphere-overflow", "p2p-volume-inf", "general-target-overflow",
-            "power-huge-int"])
+            "power-huge-int", "very-strong-distance-overflow", "layered-distance-overflow",
+            "general-distance-overflow", "p2p-noise-overflow", "general-h-not-3x3",
+            "trials-above-cap", "shift-trials-above-cap", "search-budget-above-cap"])
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
 
@@ -316,6 +340,9 @@ class TestBadInputs:
         ["dof-curve", "--a2-min", "1", "--a2-max", "2", "--steps", "1000001", "--log-axis"],
         ["sym-rate-compare", "--a", "2.5", "--steps", "1000000000000000"],
         ["sym-rate-compare", "--a", "2.5", "--p-min", "1", "--p-max", "1", "--steps", "1000001"],
+        # the baseline's power sums overflow: 511.5 and 255.7 bits per user came out at exit 0
+        ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "8.98846567431164e+307", "--steps", "2"],
+        ["sym-rate-compare", "--a", "0.5", "--p-min", "1.7e308", "--p-max", "1.7e308", "--grid-size", "5"],
     ], ids=" ".join)
     def test_bad_numeric_flag(self, tmp_path, capsys, argv):
         self.assert_validation_error(argv + ["--out", str(tmp_path / "x.csv")], capsys)
@@ -551,16 +578,22 @@ def all_finite(obj) -> bool:
     return True
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_simulate_config_exit_codes_and_finite_output(data):
-    scheme = data.draw(st.sampled_from(sorted(VALID_CONFIGS)))
+@st.composite
+def wild_configs(draw):
+    scheme = draw(st.sampled_from(sorted(VALID_CONFIGS)))
     doc = dict(
-        scheme=scheme, n=data.draw(st.integers(2, 4)), trials=100, master_seed=data.draw(st.integers(0, 3)),
+        scheme=scheme, n=draw(st.integers(2, 4)), trials=100, master_seed=draw(st.integers(0, 3)),
         search_budget=4, shift_trials=1, **VALID_CONFIGS[scheme],
     )
-    for name in sorted(data.draw(st.sets(st.sampled_from(sorted(WILD_FIELDS)), max_size=2))):
-        doc[name] = data.draw(WILD_FIELDS[name])
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(WILD_FIELDS)), max_size=2))):
+        doc[name] = draw(WILD_FIELDS[name])
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=wild_configs())
+@example(doc=OVERFLOW_CONFIG)
+def test_simulate_config_exit_codes_and_finite_output(doc):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "sim.json", Path(tmp) / "run.jsonl"
         config.write_text(json.dumps(doc))

@@ -17,13 +17,10 @@ from latticeic.lattice import (
     Lattice,
     LinearCode,
     build_codebook,
-    codebook_to_json,
     construction_a,
     count_points_in_box,
     fundamental_volume,
     is_lattice_point,
-    lattice_from_json,
-    lattice_to_json,
     make_linear_code,
     nearest_point,
     nearest_points_batch,
@@ -345,24 +342,6 @@ class TestLatticeProperties:
             assert is_lattice_point(two_step, y, tol=1e-9)
         for y in rng.normal(scale=3, size=(100, 2)):
             assert is_lattice_point(two_step, y) == is_lattice_point(one_step, y)
-
-
-class TestSerialization:
-    def test_lattice_round_trip(self):
-        lat = construction_a(make_linear_code(3, 2, 7, seed=8), 0.6)
-        back = lattice_from_json(lattice_to_json(lat))
-        assert back.n == lat.n
-        assert back.p == lat.p
-        assert back.gamma == lat.gamma
-        assert np.array_equal(back.code.generators, lat.code.generators)
-
-    def test_codebook_document_fields(self):
-        lat = construction_a(make_linear_code(2, 1, 5, seed=8), 0.9)
-        cb = build_codebook(lat, power=6.0, target_rate=0.25, shift_trials=2, seed=1)
-        doc = json.loads(codebook_to_json(cb))
-        assert doc["n"] == 2 and doc["p"] == 5 and doc["k"] == 1
-        assert doc["power"] == 6.0
-        assert len(doc["shift"]) == 2
 
 
 def reference_nearest_batch(lat, ys):
