@@ -46,9 +46,6 @@ from .simulate import (
     SimConfig,
     align_interference_lattices,
     run_simulation,
-    simulate_layered_symmetric,
-    simulate_point_to_point,
-    simulate_very_strong_symmetric,
 )
 
 __all__ = [
@@ -79,9 +76,6 @@ __all__ = [
     "receive",
     "run_simulation",
     "scale_lattice",
-    "simulate_layered_symmetric",
-    "simulate_point_to_point",
-    "simulate_very_strong_symmetric",
     "stage_constraints_strong",
     "sym_rate_lattice",
     "symmetric_channel",

@@ -8,6 +8,8 @@ product is decided by continued-fraction approximation.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,20 +50,37 @@ def symmetric_channel(a: float) -> ChannelMatrix3:
     return ChannelMatrix3(h, h1_witness=(1, 1))
 
 
+def finite_real(x) -> bool:
+    """Whether x is a finite real number and not a bool (an integer too large
+    for a float is not)."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def class_h1_membership(
     h, tol: float = DEFAULT_TOL, max_den: int = DEFAULT_MAX_DEN
 ) -> tuple[int, int] | None:
     """Reduced fraction p/q with |ratio - p/q| <= tol and q <= max_den, found
     by continued fractions; None if no such approximation exists."""
+    if not (finite_real(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not (isinstance(max_den, numbers.Integral) and not isinstance(max_den, bool) and max_den >= 1):
+        raise ValueError(f"max_den must be an integer >= 1, got {max_den!r}")
     h = np.asarray(h, dtype=float)
     if h.shape != (3, 3):
         raise ValueError(f"channel matrix must be 3x3, got {h.shape}")
     if not np.allclose(np.diag(h), 1.0, atol=tol):
         raise ValueError("direct gains must be normalized to 1")
-    off = [h[0, 1], h[0, 2], h[1, 0], h[1, 2], h[2, 0], h[2, 1]]
-    if any(g == 0 for g in off):
+    h01, h02, h10, h12, h20, h21 = off = [float(h[j, k]) for j in range(3) for k in range(3) if j != k]
+    if 0.0 in off:
         raise ValueError("all off-diagonal gains must be nonzero")
-    r = (h[0, 1] / h[1, 0]) * (h[1, 2] / h[2, 1]) * (h[2, 0] / h[0, 2])
+    # Python floats: a ratio leaving the float range gives inf or 0 without a numpy warning,
+    # and a gain that is inf or nan makes it inf or nan
+    r = (h01 / h10) * (h12 / h21) * (h20 / h02)
+    if not 0.0 < abs(r) < math.inf:
+        raise ValueError(f"the cyclic gain ratio h12 h23 h31 / (h21 h32 h13) must be finite and nonzero, got {r!r}")
     frac = Fraction(r).limit_denominator(max_den)
     if abs(r - float(frac)) <= tol:
         return frac.numerator, frac.denominator
@@ -72,10 +91,15 @@ def channel_from_json(text: str) -> ChannelMatrix3:
     """Load {"h": [[...]x3], "tol": float, "max_den": int} and attach the
     membership witness if one exists."""
     doc = json.loads(text)
-    h = np.array(doc["h"], dtype=float)
-    tol = float(doc.get("tol", DEFAULT_TOL))
-    max_den = int(doc.get("max_den", DEFAULT_MAX_DEN))
-    witness = class_h1_membership(h, tol=tol, max_den=max_den)
+    if not isinstance(doc, dict):
+        raise ValueError("matrix file must hold a JSON object")
+    rows = doc.get("h")
+    if not (isinstance(rows, list) and len(rows) == 3 and all(
+        isinstance(row, list) and len(row) == 3 and all(finite_real(g) for g in row) for row in rows
+    )):
+        raise ValueError(f"'h' must be a 3x3 grid of finite numbers, got {rows!r}")
+    h = np.array(rows, dtype=float)
+    witness = class_h1_membership(h, tol=doc.get("tol", DEFAULT_TOL), max_den=doc.get("max_den", DEFAULT_MAX_DEN))
     return ChannelMatrix3(h, h1_witness=witness)
 
 
@@ -93,7 +117,11 @@ def alignment_factors(ch: ChannelMatrix3) -> tuple[float, float, float]:
         raise ValueError("channel has no rational-ratio witness")
     p, q = ch.h1_witness
     h = ch.h
-    return q * h[1, 2] / h[1, 0], p * h[0, 2] / h[0, 1], 1.0
+    # Python floats: a factor leaving the float range is refused without a numpy warning
+    f1, f2 = q * float(h[1, 2]) / float(h[1, 0]), p * float(h[0, 2]) / float(h[0, 1])
+    if not (0.0 < abs(f1) < math.inf and 0.0 < abs(f2) < math.inf):
+        raise ValueError(f"alignment scale factors must be finite and nonzero, got {f1!r} and {f2!r}")
+    return f1, f2, 1.0
 
 
 def receive(ch: ChannelMatrix3, j: int, xs, z) -> np.ndarray:

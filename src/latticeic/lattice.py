@@ -213,36 +213,23 @@ def _coset_table(lat: Lattice, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cands, dist.reshape(len(ys), lat.n * lat.p) @ lat.code._onehot
 
 
-def _coset_points(cands: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Integer vectors of the given codeword cosets from a (T, n, p) table;
-    words is (T, n), or (m, n) against a single-row table."""
-    return np.take_along_axis(cands, words[:, :, None], axis=2)[:, :, 0]
-
-
 def nearest_point(lat: Lattice, y) -> np.ndarray:
-    """Euclidean-nearest lattice point to y; ties broken lexicographically
-    on the integer coordinate vector (smallest first).
-
-    Exact: every lattice coset of gamma*p*Z^n contributes its closed-form
-    per-coordinate minimizer and the best candidate over all p**k cosets
-    is returned.
-    """
+    """Euclidean-nearest lattice point to y: `nearest_points_batch` on one
+    row, so it breaks exact ties by the same rule."""
     y = np.asarray(y, dtype=float)
     if y.shape != (lat.n,):
         raise ValueError(f"dimension mismatch: {y.shape} vs ({lat.n},)")
-    cands, d2 = _coset_table(lat, y[None, :])
-    tied = lat.code.codewords[d2[0] == d2[0].min()]
-    v = min(map(tuple, _coset_points(cands, tied)))
-    return lat.gamma * np.array(v, dtype=float)
+    return nearest_points_batch(lat, y[None, :])[0]
 
 
 def nearest_points_batch(lat: Lattice, ys: np.ndarray) -> np.ndarray:
-    """Vectorized nearest_point over the rows of ys (trials, n); exact ties
-    take the first coset in codeword order."""
+    """Euclidean-nearest lattice point to each row of ys (trials, n), exact
+    over all p**k cosets; ties between cosets take the first in codeword
+    order, ties within one the smaller integer."""
     ys = np.asarray(ys, dtype=float)
     cands, d2 = _coset_table(lat, ys)
     words = lat.code.codewords[np.argmin(d2, axis=1)]
-    return lat.gamma * _coset_points(cands, words)
+    return lat.gamma * np.take_along_axis(cands, words[:, :, None], axis=2)[:, :, 0]
 
 
 def scale_lattice(lat: Lattice, c: float) -> Lattice:

@@ -279,9 +279,11 @@ def _very_strong_conditions(ch: ChannelMatrix3, P, sigma2) -> list[bool]:
     s = [(P[i] + sigma2[i]) for i in range(3)]
     links = [(j, k) for j in range(3) for k in range(3) if j != k]
     conds = []
-    for p_link, q_link in _VERY_STRONG_SETS:
-        mult = {p_link: p * p, q_link: q * q}
-        conds.append(all(h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] for j, k in links))
+    # a gain whose square overflows meets every condition as inf, without a warning
+    with np.errstate(over="ignore"):
+        for p_link, q_link in _VERY_STRONG_SETS:
+            mult = {p_link: p * p, q_link: q * q}
+            conds.append(all(h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] for j, k in links))
     return conds
 
 

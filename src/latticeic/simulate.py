@@ -21,6 +21,7 @@ from .channel import (
     ChannelMatrix3,
     alignment_factors,
     class_h1_membership,
+    finite_real,
     keyed_stream,
     receive,
     symmetric_channel,
@@ -79,10 +80,7 @@ def _conforms(value, kind: str) -> bool:
     if kind == "int":
         return isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if kind == "float":
-        try:
-            return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-        except OverflowError:  # an integer too large for a float
-            return False
+        return finite_real(value)
     return isinstance(value, {"bool": bool, "str": str}[kind])
 
 
@@ -234,9 +232,11 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _volume_per_word(n: int, power: float, rate: float) -> float:
-    """Volume of the shaping sphere of power `power` per word of the 2^(nR)
-    codebook target, refused where a term leaves the float range."""
+def _cell_scale(n: int, power: float, rate: float, p: int, k: int) -> float:
+    """Scale gamma of a Construction-A lattice over an (n, k) code mod p whose
+    fundamental volume gamma^n p^(n-k) equals the volume of the shaping sphere
+    of power `power` per word of the 2^(nR) codebook target; refused where a
+    term leaves the float range."""
     try:
         vol = math.pi ** (n / 2) * math.sqrt(n * power) ** n / math.gamma(n / 2 + 1) / 2.0 ** (n * rate)
     except OverflowError:
@@ -245,7 +245,7 @@ def _volume_per_word(n: int, power: float, rate: float) -> float:
         raise ConfigError(
             f"n={n}, rate={rate!r}, power={power!r}: the shaping-sphere volume per codeword leaves the float range"
         )
-    return vol
+    return (vol / p ** (n - k)) ** (1.0 / n)
 
 
 def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
@@ -258,15 +258,6 @@ def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
             if p**k <= 100_000 and (p, k) not in pairs:
                 pairs.append((p, k))
     return pairs
-
-
-def design_lattice(
-    n: int, power: float, rate: float, p: int, k: int, seed
-) -> Lattice:
-    """Random (n, k) code over Z_p, scaled so the fundamental volume matches
-    the shaping-sphere volume divided by the codeword-count target."""
-    gamma = (_volume_per_word(n, power, rate) / p ** (n - k)) ** (1.0 / n)
-    return construction_a(make_linear_code(n, k, p, seed), gamma)
 
 
 def _codebooks(
@@ -288,14 +279,15 @@ def _codebooks(
 def _layer_codebooks(
     cfg: SimConfig, cand: int, powers: list[float], rates: list[float]
 ) -> list[Codebook] | None:
-    """One independently designed lattice per layer, from the candidate
-    index's (p, k) pair."""
+    """One independently designed lattice per layer: a random code of the
+    candidate index's (p, k) pair, scaled by `_cell_scale`."""
 
     def lattices():
         for i, (P, R) in enumerate(zip(powers, rates)):
             pairs = _candidate_params(cfg.n, R)
             p, k = pairs[cand % len(pairs)]
-            yield design_lattice(cfg.n, P, R, p, k, keyed_stream(cfg.master_seed, _CODE, cand, i))
+            gamma = _cell_scale(cfg.n, P, R, p, k)
+            yield construction_a(make_linear_code(cfg.n, k, p, keyed_stream(cfg.master_seed, _CODE, cand, i)), gamma)
 
     return _codebooks(cfg, cand, lattices(), powers, rates)
 
@@ -435,12 +427,6 @@ def _run_symmetric_candidate(
     return _stats(block_bad, int_errs, msg_errs, {"candidate": cand, "layers": _layers_meta(books)})
 
 
-def _check_scheme(cfg: SimConfig, scheme: str) -> None:
-    cfg.validate()
-    if cfg.scheme != scheme:
-        raise ConfigError(f"config scheme must be {scheme}")
-
-
 def _search_symmetric(cfg: SimConfig, powers, rates, order: tuple[str, str]) -> ErrorStats:
     return _search(
         cfg,
@@ -449,10 +435,9 @@ def _search_symmetric(cfg: SimConfig, powers, rates, order: tuple[str, str]) -> 
     )
 
 
-def simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
+def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
     """Single-user AWGN run: y = x + z, nearest-point decoding restricted to
     the shaping sphere; best-of-budget lattice selection."""
-    _check_scheme(cfg, "p2p")
 
     def run(cand, books):
         cb = books[0]
@@ -470,22 +455,20 @@ def simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
     return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)
 
 
-def simulate_very_strong_symmetric(cfg: SimConfig) -> ErrorStats:
+def _simulate_very_strong_symmetric(cfg: SimConfig) -> ErrorStats:
     """Single-layer symmetric run: all users share one codebook, each
     receiver decodes the aggregate interference on the a-scaled lattice,
     subtracts it, then decodes its own codeword."""
-    _check_scheme(cfg, "very-strong-sym")
     return _search_symmetric(cfg, [cfg.power], [cfg.rates[0]], _STRONG_ORDER)
 
 
-def simulate_layered_symmetric(cfg: SimConfig) -> ErrorStats:
+def _simulate_layered_symmetric(cfg: SimConfig) -> ErrorStats:
     """N-stage successive decoding with the geometric power ladder.
 
     Strong regime decodes interference before the message at every stage,
     weak regime the reverse. Per-layer rates must not exceed the per-stage
     ceilings.
     """
-    _check_scheme(cfg, "layered-sym")
     a2 = cfg.a**2
     alloc = layered_allocation_symmetric(a2, cfg.N)
     powers = list(alloc.powers)
@@ -534,10 +517,9 @@ def align_interference_lattices(
     )
 
 
-def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
+def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
     """Nonsymmetric single-layer run at receiver 1 with aligned per-user
     lattices; interference decoded as one aggregate point on h13*L3."""
-    _check_scheme(cfg, "very-strong-general")
     h = np.array(cfg.h, dtype=float)
     witness = class_h1_membership(h)
     if witness is None:
@@ -556,10 +538,7 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         # base lattice scaled so every user's codebook can meet its target
         p_mod, k = pairs[cand % len(pairs)]
         code = make_linear_code(n, k, p_mod, keyed_stream(cfg.master_seed, _CODE, cand, 0))
-        gammas = [
-            (_volume_per_word(n, P, R) / p_mod ** (n - k)) ** (1.0 / n) / f
-            for P, R, f in zip(cfg.powers, cfg.rates, factors)
-        ]
+        gammas = [_cell_scale(n, P, R, p_mod, k) / f for P, R, f in zip(cfg.powers, cfg.rates, factors)]
         lats = align_interference_lattices(ch, Lattice(code, 0.98 * min(gammas)))
         return _codebooks(cfg, cand, lats, cfg.powers, cfg.rates)
 
@@ -588,15 +567,17 @@ def simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
     return _search(cfg, build, run)
 
 
+# the scheme drivers take a config that `run_simulation` has validated
 _DRIVERS = {
-    "p2p": simulate_point_to_point,
-    "very-strong-sym": simulate_very_strong_symmetric,
-    "layered-sym": simulate_layered_symmetric,
-    "very-strong-general": simulate_very_strong_general,
+    "p2p": _simulate_point_to_point,
+    "very-strong-sym": _simulate_very_strong_symmetric,
+    "layered-sym": _simulate_layered_symmetric,
+    "very-strong-general": _simulate_very_strong_general,
 }
 
 
 def run_simulation(cfg: SimConfig) -> ErrorStats:
-    """Dispatch on the configured scheme."""
+    """The one way to run a simulation: validate the config once, then run
+    its scheme's driver."""
     cfg.validate()
     return _DRIVERS[cfg.scheme](cfg)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, MAX_N_MAX, main
 from latticeic.rates import dof_symmetric
 from latticeic.simulate import MAX_SEARCH_BUDGET, MAX_SHIFT_TRIALS, MAX_TRIALS
 
@@ -117,6 +117,14 @@ class TestAlignCheck:
         assert doc["member"] and doc["witness"] == [1, 1]
         assert doc["condition_set"] == 1
         assert doc["rates_bits_per_dim"][0] == pytest.approx(0.5 * math.log2(3.0))
+
+    def test_huge_gains_report_without_warning(self, tmp_path, capsys):
+        mat = self.write_matrix(tmp_path, [[1, 1e200, 1e200], [1e200, 1, 1e200], [1e200, 1e200, 1]])
+        out = tmp_path / "report.json"
+        argv = ["align-check", "--matrix-file", str(mat), "--powers", "3,3,3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["condition_set"] == 1
 
     def test_irrational_ratio_not_member(self, tmp_path):
         r = math.sqrt(2.0)
@@ -245,6 +253,37 @@ class TestBadInputs:
         argv = ["align-check", "--matrix-file", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.json")]
         self.assert_validation_error(argv, capsys)
 
+    H = "[[1, 2, 2], [2, 1, 2], [2, 2, 1]]"
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"h": ' + H + ', "max_den": 1e400}',
+        '{"h": ' + H + ', "max_den": true}',
+        '{"h": ' + H + ', "max_den": 0}',
+        '{"h": ' + H + ', "max_den": 2.5}',
+        '{"h": ' + H + ', "tol": NaN}',
+        '{"h": ' + H + ', "tol": -1}',
+        '{"h": ' + H + ', "tol": "1e-9"}',
+        '{"h": [[1, Infinity, 2], [2, 1, 2], [2, 2, 1]]}',
+        '{"h": [[1, NaN, 2], [2, 1, 2], [2, 2, 1]]}',
+        '{"h": [[1, 2, 2], [2, 1, 2], [2, true, 1]]}',
+        '{"h": [[1, 2, 2], [2, 1, 2], [2, 1' + "0" * 400 + ', 1]]}',
+        '{"h": [[1, 2], [2, 1]]}',
+        '{"H": ' + H + '}',
+        # the cyclic ratio (h12/h21)(h23/h32)(h31/h13) overflows, and underflows to 0
+        '{"h": [[1, 1e308, 1], [1e-308, 1, 1], [1, 1, 1]]}',
+        '{"h": [[1, 1e-308, 1], [1e308, 1, 1], [1, 1, 1]]}',
+        # the scale factor h23 q / h21 overflows; the witness of the ratio 1e-12 is 0/1, a zero factor
+        '{"h": [[1, 1, 1e300], [1e-300, 1, 1e300], [1, 1e300, 1]]}',
+        '{"h": [[1, 1e-12, 1], [1, 1, 1], [1, 1, 1]]}',
+    ], ids=["not-an-object", "max-den-inf", "max-den-bool", "max-den-zero", "max-den-float", "tol-nan",
+            "tol-negative", "tol-string", "gain-inf", "gain-nan", "gain-bool", "gain-huge-int", "h-not-3x3",
+            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow", "factor-zero"])
+    def test_bad_matrix_file(self, tmp_path, capsys, text):
+        mat = tmp_path / "h.json"
+        mat.write_text(text)
+        self.assert_validation_error(["align-check", "--matrix-file", str(mat), "--out", str(tmp_path / "r.json")], capsys)
+
     def test_missing_config(self, tmp_path, capsys):
         argv = ["simulate", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run.jsonl")]
         self.assert_validation_error(argv, capsys)
@@ -343,6 +382,9 @@ class TestBadInputs:
         # the baseline's power sums overflow: 511.5 and 255.7 bits per user came out at exit 0
         ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "8.98846567431164e+307", "--steps", "2"],
         ["sym-rate-compare", "--a", "0.5", "--p-min", "1.7e308", "--p-max", "1.7e308", "--grid-size", "5"],
+        # above MAX_N_MAX: refused before any layer count is swept
+        ["dof-nonsym", "--a1", "1.42", "--a2", "1.42", "--a3", "1.42", "--n-max", str(MAX_N_MAX + 1)],
+        ["dof-nonsym", "--a1", "1.42", "--a2", "1.42", "--a3", "1.42", "--n-max", "1000000"],
     ], ids=" ".join)
     def test_bad_numeric_flag(self, tmp_path, capsys, argv):
         self.assert_validation_error(argv + ["--out", str(tmp_path / "x.csv")], capsys)

@@ -165,9 +165,15 @@ class TestNearestPoint:
         lat = construction_a(full_code(2, 5), 1.0)
         assert np.array_equal(nearest_point(lat, (0.4, -0.7)), [0, -1])
 
-    def test_tie_breaks_lexicographically(self):
+    def test_tie_within_coset_takes_smaller_integer(self):
         # (2.5, 0) is equidistant from (0,0) and (5,0)
         assert np.array_equal(nearest_point(lat_5z2(), (2.5, 0)), [0, 0])
+
+    def test_tie_between_cosets_matches_batch(self):
+        # (-0.5, -1) is equidistant from (0, 0) and (-1, -2), of the codewords (0, 0) and (4, 3)
+        lat, y = lat_gen12(), np.array([-0.5, -1.0])
+        assert np.array_equal(nearest_point(lat, y), nearest_points_batch(lat, y[None])[0])
+        assert np.array_equal(nearest_point(lat, y), [0, 0])
 
     def test_coset_lattice_example(self):
         assert np.array_equal(nearest_point(lat_gen12(), (1.1, 2.2)), [1, 2])

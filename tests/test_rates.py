@@ -405,6 +405,13 @@ class TestVeryStrong:
             hits = [n + bool(c) for n, c in zip(hits, got)]
         assert min(hits) > 0
 
+    def test_general_huge_gains_without_overflow_warning(self):
+        # the squares of the cross gains overflow; RuntimeWarnings are errors in this suite
+        h = np.full((3, 3), 1e200)
+        np.fill_diagonal(h, 1.0)
+        report, idx = very_strong_general(ChannelMatrix3(h, h1_witness=(1, 1)), [3.0] * 3, [1.0] * 3)
+        assert idx == 1 and report.per_user_rates == pytest.approx([0.5 * math.log2(3.0)] * 3)
+
     def test_general_no_set_holds(self):
         ch = symmetric_channel(1.0)
         assert very_strong_general(ch, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) is None

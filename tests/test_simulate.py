@@ -14,8 +14,6 @@ from latticeic.simulate import (
     SimConfig,
     align_interference_lattices,
     run_simulation,
-    simulate_layered_symmetric,
-    simulate_very_strong_symmetric,
     wilson_interval,
 )
 
@@ -91,6 +89,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=3.0, search_budget=1),
+        vs_config(search_budget=1),
+        SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.2], a=5.0, search_budget=1),
+        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.3] * 3,
+                  powers=[3.0] * 3, h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]], search_budget=1),
+    ], ids=lambda cfg: cfg.scheme)
+    def test_run_validates_once(self, monkeypatch, cfg):
+        calls = []
+        validate = SimConfig.validate
+        monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
+        run_simulation(cfg)
+        assert calls == [cfg]
+
     def test_hash_stable(self):
         assert vs_config().config_hash() == vs_config().config_hash()
         assert vs_config().config_hash() != vs_config(master_seed=4).config_hash()
@@ -142,7 +154,7 @@ class TestSchemes:
         shared = dict(n=4, trials=200, master_seed=3, rates=[0.25], a=2.0, search_budget=2)
         layered = SimConfig(scheme="layered-sym", N=1, **shared)
         single = SimConfig(scheme="very-strong-sym", power=3.0, **shared)
-        assert simulate_layered_symmetric(layered) == simulate_very_strong_symmetric(single)
+        assert run_simulation(layered) == run_simulation(single)
 
     def test_genie_makes_later_stages_independent(self):
         base = dict(
@@ -165,7 +177,7 @@ class TestSchemes:
             scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.9], a=math.sqrt(3.0), N=1
         )
         with pytest.raises(ConfigError):
-            simulate_layered_symmetric(cfg)
+            run_simulation(cfg)
 
     def test_error_rate_nonincreasing_in_snr(self):
         runs = []
