@@ -62,8 +62,8 @@ def finite_real(x) -> bool:
 def class_h1_membership(
     h, tol: float = DEFAULT_TOL, max_den: int = DEFAULT_MAX_DEN
 ) -> tuple[int, int] | None:
-    """Reduced fraction p/q with |ratio - p/q| <= tol and q <= max_den, found
-    by continued fractions; None if no such approximation exists."""
+    """Reduced fraction p/q with p != 0, |ratio - p/q| <= tol and q <= max_den,
+    found by continued fractions; None if no such approximation exists."""
     if not (finite_real(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not (isinstance(max_den, numbers.Integral) and not isinstance(max_den, bool) and max_den >= 1):
@@ -82,7 +82,7 @@ def class_h1_membership(
     if not 0.0 < abs(r) < math.inf:
         raise ValueError(f"the cyclic gain ratio h12 h23 h31 / (h21 h32 h13) must be finite and nonzero, got {r!r}")
     frac = Fraction(r).limit_denominator(max_den)
-    if abs(r - float(frac)) <= tol:
+    if frac.numerator != 0 and abs(r - float(frac)) <= tol:
         return frac.numerator, frac.denominator
     return None
 

@@ -117,7 +117,8 @@ class LinearCode:
             np.meshgrid(*[np.arange(self.p)] * self.k, indexing="ij"), axis=-1
         ).reshape(-1, self.k)
         words = (coeffs @ self.generators) % self.p
-        return np.unique(words, axis=0)
+        # independent generators give distinct words: a row sort is np.unique(words, axis=0)
+        return words[np.lexsort(words.T[::-1])]
 
     @cached_property
     def _onehot(self) -> np.ndarray:

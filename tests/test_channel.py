@@ -62,6 +62,13 @@ class TestMembership:
         best = min(abs(r - round(r * q) / q) for q in range(1, 1001))
         assert best > 1e-9
 
+    def test_ratio_near_zero_has_no_witness(self):
+        # 1e-12 is within tol of 0/1, but a zero numerator makes an alignment factor zero
+        for r in (1e-12, -1e-12, 1e-300):
+            assert class_h1_membership(matrix_with_cross(h12=r)) is None
+        # a denominator large enough for the ratio still finds the nonzero witness
+        assert class_h1_membership(matrix_with_cross(h12=1e-12), tol=1e-15, max_den=10**13) == (1, 10**12)
+
     def test_zero_cross_gain_rejected(self):
         with pytest.raises(ValueError):
             class_h1_membership(np.eye(3))

@@ -133,6 +133,13 @@ class TestAlignCheck:
         assert main(["align-check", "--matrix-file", str(mat), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["member"] is False
 
+    def test_zero_witness_not_member(self, tmp_path):
+        # the ratio 1e-12 is within tol of 0/1, which is no witness: 0 would make a scale factor zero
+        mat = self.write_matrix(tmp_path, [[1, 1e-12, 1], [1, 1, 1], [1, 1, 1]])
+        out = tmp_path / "report.json"
+        assert main(["align-check", "--matrix-file", str(mat), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text()) == {"member": False, "witness": None}
+
     def test_zero_cross_gain_validation_error(self, tmp_path):
         mat = self.write_matrix(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         out = tmp_path / "report.json"
@@ -273,12 +280,11 @@ class TestBadInputs:
         # the cyclic ratio (h12/h21)(h23/h32)(h31/h13) overflows, and underflows to 0
         '{"h": [[1, 1e308, 1], [1e-308, 1, 1], [1, 1, 1]]}',
         '{"h": [[1, 1e-308, 1], [1e308, 1, 1], [1, 1, 1]]}',
-        # the scale factor h23 q / h21 overflows; the witness of the ratio 1e-12 is 0/1, a zero factor
+        # the scale factor h23 q / h21 overflows
         '{"h": [[1, 1, 1e300], [1e-300, 1, 1e300], [1, 1e300, 1]]}',
-        '{"h": [[1, 1e-12, 1], [1, 1, 1], [1, 1, 1]]}',
     ], ids=["not-an-object", "max-den-inf", "max-den-bool", "max-den-zero", "max-den-float", "tol-nan",
             "tol-negative", "tol-string", "gain-inf", "gain-nan", "gain-bool", "gain-huge-int", "h-not-3x3",
-            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow", "factor-zero"])
+            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow"])
     def test_bad_matrix_file(self, tmp_path, capsys, text):
         mat = tmp_path / "h.json"
         mat.write_text(text)

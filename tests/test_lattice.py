@@ -102,6 +102,14 @@ class TestLinearCode:
         assert len(code.codewords) == 49
         assert {tuple(w) for w in code.codewords} == words
 
+    # k = 0, k = n, two desk-scale codes and one whose p**n passes 2**63
+    @pytest.mark.parametrize("n, k, p", [(3, 0, 5), (4, 4, 5), (8, 4, 13), (10, 5, 11), (20, 3, 13)])
+    def test_codewords_in_unique_order(self, n, k, p):
+        code = make_linear_code(n, k, p, seed=n + k + p)
+        coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+        words = (coeffs @ code.generators) % p
+        assert np.array_equal(code.codewords, np.unique(words, axis=0))
+
     def test_deterministic_given_seed(self):
         a = make_linear_code(4, 2, 7, seed=5)
         b = make_linear_code(4, 2, 7, seed=5)

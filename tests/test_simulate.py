@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ import pytest
 from latticeic.channel import ChannelMatrix3, symmetric_channel
 from latticeic.lattice import build_codebook, construction_a, is_lattice_point, make_linear_code, scale_lattice
 from latticeic.simulate import (
+    MAX_SQUARED_DISTANCE,
     ConfigError,
     SimConfig,
+    _nearest_rows,
+    _squared_distances,
     align_interference_lattices,
     run_simulation,
     wilson_interval,
@@ -228,6 +232,37 @@ class TestSchemes:
         )
         with pytest.raises(ConfigError):
             run_simulation(cfg)
+
+
+class TestRestrictedDecoder:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_squared_distances_equal_numpy_sum(self, n):
+        # the summation order must stay numpy's, or the decoded rows (and golden bytes) can move
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            # per-coordinate scales up to the regime where n * (2 * scale)^2 nears MAX_SQUARED_DISTANCE
+            scale = 10.0 ** rng.uniform(-3, math.log10(math.sqrt(MAX_SQUARED_DISTANCE / (4 * n))), size=n)
+            ys = rng.normal(size=(int(rng.integers(1, 40)), n)) * scale
+            cands = rng.normal(size=(int(rng.integers(1, 60)), n)) * scale
+            want = np.sum((ys[:, None, :] - cands[None]) ** 2, axis=2)
+            assert np.array_equal(_squared_distances(ys, cands), want)
+
+    def test_memory_peak(self):
+        # tracemalloc sees numpy's buffers: about 24 MB here, against 60 MB for a (T, m, n) cube
+        rng = np.random.default_rng(0)
+        cands, ys = rng.normal(size=(4000, 8)), rng.normal(size=(500, 8))
+        tracemalloc.start()
+        try:
+            _nearest_rows(cands, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_first_nearest_candidate_wins(self):
+        cands = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        ys = np.array([[0.9, 0.1], [0.5, 0.5], [0.0, 0.0], [-2.0, 0.0]])
+        assert np.array_equal(_nearest_rows(cands, ys), cands[[0, 0, 0, 3]])
 
 
 class TestAlignment:
