@@ -37,9 +37,7 @@ class ChannelMatrix3:
         h.setflags(write=False)
         if self.h1_witness is not None:
             p, q = self.h1_witness
-            from math import gcd
-
-            if q == 0 or gcd(p, q) != 1:
+            if q == 0 or math.gcd(p, q) != 1:
                 raise ValueError(f"witness ({p}, {q}) is not a reduced fraction")
 
 

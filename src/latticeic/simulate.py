@@ -57,6 +57,8 @@ MAX_SHIFT_TRIALS = 1_000_000
 MAX_SEARCH_BUDGET = 10_000
 # largest admitted SimConfig.squared_distance_bound, 1.8e8 below the float maximum
 MAX_SQUARED_DISTANCE = 1e300
+# most cosets p^k of a candidate lattice that the decoders enumerate
+_MAX_COSETS = 100_000
 
 
 class ConfigError(ValueError):
@@ -125,38 +127,40 @@ class SimConfig:
             raise ConfigError("sigma2s must hold 3 positive per-receiver noise powers")
         if not self.rates or any(r < 0 for r in self.rates):
             raise ConfigError("rates must be nonnegative and nonempty")
-        if self.scheme == "p2p":
-            if self.power is None or self.power <= 0:
-                raise ConfigError("p2p requires a positive power")
-            if len(self.rates) != 1:
-                raise ConfigError("p2p uses a single rate")
-        elif self.scheme == "very-strong-sym":
-            if self.a is None or self.power is None or self.power <= 0:
-                raise ConfigError("very-strong-sym requires gain a and power")
+        # k grows with the rate: if the largest rate has a candidate, every layer's rate has one
+        if not _candidate_params(self.n, max(self.rates)):
+            raise ConfigError(
+                f"n={self.n}, rate={max(self.rates)!r}: every candidate lattice has more than {_MAX_COSETS} cosets"
+            )
+        if self.scheme in ("p2p", "very-strong-sym") and (self.power is None or self.power <= 0):
+            raise ConfigError(f"{self.scheme} requires a positive power")
+        if self.scheme in ("very-strong-sym", "layered-sym"):
+            if self.a is None:
+                raise ConfigError(f"{self.scheme} requires gain a")
+            a2 = squared_gain("config field 'a'", self.a)
+        if self.scheme == "very-strong-sym":
             # noiseless hooks (sigma2 < 1) test mechanics only; the regime
             # condition is checked at the nominal unit noise floor
-            if squared_gain("config field 'a'", self.a) < self.power / max(self.sigma2, 1.0) + 1.0 - 1e-12:
+            if a2 < self.power / max(self.sigma2, 1.0) + 1.0 - 1e-12:
                 raise ConfigError(
                     "very-strong condition a^2 >= P/sigma2 + 1 violated"
                 )
-            if len(self.rates) != 1:
-                raise ConfigError("very-strong-sym uses a single rate")
         elif self.scheme == "layered-sym":
-            if self.a is None:
-                raise ConfigError("layered-sym requires gain a")
             try:
-                _ladder(squared_gain("config field 'a'", self.a))
+                _ladder(a2)
             except AllocationError as exc:
                 raise ConfigError(f"layered-sym: {exc}") from exc
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
-            if len(self.rates) != self.N:
-                raise ConfigError("need one rate per layer")
-        else:
+        elif self.scheme == "very-strong-general":
             if self.h is None or len(self.h) != 3 or any(len(row) != 3 for row in self.h):
                 raise ConfigError("very-strong-general requires a 3x3 channel matrix h")
-            if self.powers is None or len(self.rates) != 3 or len(self.powers) != 3 or min(self.powers) <= 0:
-                raise ConfigError("very-strong-general requires 3 per-user rates and 3 positive powers")
+            if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
+                raise ConfigError("very-strong-general requires 3 positive powers")
+        # one rate per layer (layered-sym) or per user (very-strong-general)
+        count = {"layered-sym": self.N, "very-strong-general": 3}.get(self.scheme, 1)
+        if len(self.rates) != count:
+            raise ConfigError(f"{self.scheme} needs {count} rates, got {len(self.rates)}")
         if not (bound := self.squared_distance_bound()) <= MAX_SQUARED_DISTANCE:
             raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
 
@@ -255,7 +259,7 @@ def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
         k_est = round(n * max(rate, 0.25) / math.log2(p))
         for k in (k_est, k_est + 1, k_est + 2):
             k = min(max(k, 1), n - 1)
-            if p**k <= 100_000 and (p, k) not in pairs:
+            if p**k <= _MAX_COSETS and (p, k) not in pairs:
                 pairs.append((p, k))
     return pairs
 
@@ -326,13 +330,13 @@ def _layers_meta(books: list[Codebook]) -> list[dict]:
     ]
 
 
-def _batched_nearest(lat: Lattice, ys: np.ndarray) -> np.ndarray:
-    """nearest_points_batch with memory-bounded chunking."""
-    m = len(lat.code.codewords)
-    chunk = max(1, _DECODE_BATCH_ELEMS // max(1, m * lat.n))
+def _chunked(decode, ys: np.ndarray, m: int) -> np.ndarray:
+    """decode(block) over blocks of the rows of `ys`, with rows times m
+    candidates times n coordinates at most _DECODE_BATCH_ELEMS per block."""
+    chunk = max(1, _DECODE_BATCH_ELEMS // max(1, m * ys.shape[1]))
     out = np.empty_like(ys)
     for lo in range(0, len(ys), chunk):
-        out[lo : lo + chunk] = nearest_points_batch(lat, ys[lo : lo + chunk])
+        out[lo : lo + chunk] = decode(ys[lo : lo + chunk])
     return out
 
 
@@ -366,12 +370,12 @@ def _squared_distances(block: np.ndarray, cands: np.ndarray) -> np.ndarray:
 
 def _nearest_rows(cands: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Minimum-distance decoding restricted to an explicit candidate set."""
-    n = ys.shape[1]
-    chunk = max(1, _DECODE_BATCH_ELEMS // max(1, len(cands) * n))
-    out = np.empty_like(ys)
-    for lo in range(0, len(ys), chunk):
-        out[lo : lo + chunk] = cands[np.argmin(_squared_distances(ys[lo : lo + chunk], cands), axis=1)]
-    return out
+    return _chunked(lambda block: cands[np.argmin(_squared_distances(block, cands), axis=1)], ys, len(cands))
+
+
+def _nearest_on_lattice(lat: Lattice, shift: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Nearest points of the lattice moved by `shift`, over all its cosets."""
+    return _chunked(lambda block: nearest_points_batch(lat, block - shift) + shift, ys, len(lat.code.codewords))
 
 
 def _pair_sums(words: np.ndarray, scale: float) -> np.ndarray | None:
@@ -389,73 +393,38 @@ def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=1) > _MATCH_TOL
 
 
-def _decode_aggregate(
-    sums: np.ndarray | None, lattice: Lattice, shift: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Decode an aggregate interference point: the nearest point of the
-    enumerated sumset when it is small enough to list, else the nearest
-    point of the aggregate lattice moved by the aggregate shift."""
-    if sums is not None:
-        return _nearest_rows(sums, ys)
-    return _batched_nearest(lattice, ys - shift) + shift
-
-
 _STRONG_ORDER = ("interference", "message")
 _WEAK_ORDER = ("message", "interference")
 
 
-def _run_symmetric_candidate(
-    cfg: SimConfig,
-    cand: int,
-    books: list[Codebook],
-    order: tuple[str, str],
-) -> ErrorStats:
-    """Full run at receiver 1 for one candidate codebook set.
+def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, str], meta: dict) -> ErrorStats:
+    """Successive decoding at receiver 1 of the received rows `resid`.
 
-    Layers are decoded sequentially, each as the stage pair in `order`; with
-    the genie flag the true value is fed forward after a stage error so
+    Each layer is (own words, own truth, aggregate truth, sumset or None,
+    aggregate lattice, aggregate shift) and is decoded as the stage pair in
+    `order`: the aggregate interference point is the nearest point of the
+    sumset when it is small enough to list, else of the aggregate lattice
+    moved by the aggregate shift; the own codeword is the nearest own word.
+    With the genie flag the true value is fed forward after a stage error so
     per-stage statistics stay clean.
     """
-    a = float(cfg.a)
-    T, n = cfg.trials, cfg.n
-    # one message stream per layer, so genie-mode stage statistics do not
-    # depend on the other layers' codebook sizes; columns are the 3 users
-    msgs = [
-        keyed_stream(cfg.master_seed, _MSG, cand, i).integers(0, len(b), size=(T, 3))
-        for i, b in enumerate(books)
-    ]
-    x = [sum(b.words[m[:, u]] for b, m in zip(books, msgs)) for u in range(3)]
-    z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
-    resid = receive(symmetric_channel(a), 0, x, math.sqrt(cfg.sigma2) * z)
-
     int_errs, msg_errs = [], []
-    block_bad = np.zeros(T, dtype=bool)
-    for cb, m in zip(books, msgs):
-        w = cb.words
-        truth = {"interference": a * (w[m[:, 1]] + w[m[:, 2]]), "message": w[m[:, 0]]}
-        # the aggregate of two shifted codewords lies on the a-scaled lattice
-        # shifted by twice the (scaled) codebook shift
-        sums = _pair_sums(w, a)
-        bad = {}
+    block_bad = np.zeros(len(resid), dtype=bool)
+    for words, own, agg, sums, lat, shift in layers:
+        truth, bad = {"interference": agg, "message": own}, {}
         for stage in order:
-            if stage == "interference":
-                dec = _decode_aggregate(sums, scale_lattice(cb.lattice, a), 2.0 * a * cb.shift, resid)
+            if stage == "message":
+                dec = _nearest_rows(words, resid)
+            elif sums is not None:
+                dec = _nearest_rows(sums, resid)
             else:
-                dec = _nearest_rows(w, resid)
+                dec = _nearest_on_lattice(lat, shift, resid)
             bad[stage] = _rows_differ(dec, truth[stage])
             resid = resid - (truth[stage] if cfg.genie else dec)
         int_errs.append(int(bad["interference"].sum()))
         msg_errs.append(int(bad["message"].sum()))
         block_bad |= bad["message"]
-    return _stats(block_bad, int_errs, msg_errs, {"candidate": cand, "layers": _layers_meta(books)})
-
-
-def _search_symmetric(cfg: SimConfig, powers, rates, order: tuple[str, str]) -> ErrorStats:
-    return _search(
-        cfg,
-        lambda cand: _layer_codebooks(cfg, cand, powers, rates),
-        lambda cand, books: _run_symmetric_candidate(cfg, cand, books, order),
-    )
+    return _stats(block_bad, int_errs, msg_errs, meta)
 
 
 def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
@@ -469,7 +438,7 @@ def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
         z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=x.shape)
         # no interferers: the receiver model reduces to y = x + z
         y = x + math.sqrt(cfg.sigma2) * z
-        dec = _batched_nearest(cb.lattice, y - cb.shift) + cb.shift
+        dec = _nearest_on_lattice(cb.lattice, cb.shift, y)
         bad = _rows_differ(dec, x)
         # a nearest point outside the shaping sphere is a decoding failure
         bad |= np.sum(dec**2, axis=1) > cfg.n * cfg.power + 1e-9
@@ -478,36 +447,54 @@ def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
     return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)
 
 
-def _simulate_very_strong_symmetric(cfg: SimConfig) -> ErrorStats:
-    """Single-layer symmetric run: all users share one codebook, each
-    receiver decodes the aggregate interference on the a-scaled lattice,
-    subtracts it, then decodes its own codeword."""
-    return _search_symmetric(cfg, [cfg.power], [cfg.rates[0]], _STRONG_ORDER)
+def _simulate_symmetric(cfg: SimConfig) -> ErrorStats:
+    """Symmetric run: every user sends one word per layer from the layer's
+    shared codebook, and receiver 1 decodes layer by layer.
 
-
-def _simulate_layered_symmetric(cfg: SimConfig) -> ErrorStats:
-    """N-stage successive decoding with the geometric power ladder.
-
-    Strong regime decodes interference before the message at every stage,
-    weak regime the reverse. Per-layer rates must not exceed the per-stage
-    ceilings.
+    very-strong-sym is one layer at `cfg.power`, interference first.
+    layered-sym takes the geometric power ladder: the strong regime decodes
+    interference before the message at every stage, the weak regime the
+    reverse, and per-layer rates must not exceed the per-stage ceilings.
     """
-    a2 = cfg.a**2
-    alloc = layered_allocation_symmetric(a2, cfg.N)
-    powers = list(alloc.powers)
-    if alloc.regime == "strong":
-        r_int, r_msg = stage_constraints_strong(a2, powers)
-        ceil = np.minimum(r_int, r_msg)
-        order = _STRONG_ORDER
+    a = float(cfg.a)
+    if cfg.scheme == "very-strong-sym":
+        powers, order = [cfg.power], _STRONG_ORDER
     else:
-        ceil = alloc.rates
-        order = _WEAK_ORDER
-    for i, r in enumerate(cfg.rates):
-        if r > ceil[i] + 1e-12:
-            raise ConfigError(
-                f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}"
-            )
-    return _search_symmetric(cfg, powers, list(cfg.rates), order)
+        a2 = cfg.a**2
+        alloc = layered_allocation_symmetric(a2, cfg.N)
+        powers = list(alloc.powers)
+        if alloc.regime == "strong":
+            r_int, r_msg = stage_constraints_strong(a2, powers)
+            ceil, order = np.minimum(r_int, r_msg), _STRONG_ORDER
+        else:
+            ceil, order = alloc.rates, _WEAK_ORDER
+        for i, r in enumerate(cfg.rates):
+            if r > ceil[i] + 1e-12:
+                raise ConfigError(
+                    f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}"
+                )
+
+    def run(cand, books):
+        T = cfg.trials
+        # one message stream per layer, so genie-mode stage statistics do not
+        # depend on the other layers' codebook sizes; columns are the 3 users
+        msgs = [
+            keyed_stream(cfg.master_seed, _MSG, cand, i).integers(0, len(b), size=(T, 3))
+            for i, b in enumerate(books)
+        ]
+        x = [sum(b.words[m[:, u]] for b, m in zip(books, msgs)) for u in range(3)]
+        z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, cfg.n))
+        resid = receive(symmetric_channel(a), 0, x, math.sqrt(cfg.sigma2) * z)
+        # the aggregate of two shifted codewords lies on the a-scaled lattice
+        # shifted by twice the (scaled) codebook shift; built one layer at a time
+        layers = (
+            (b.words, b.words[m[:, 0]], a * (b.words[m[:, 1]] + b.words[m[:, 2]]),
+             _pair_sums(b.words, a), scale_lattice(b.lattice, a), 2.0 * a * b.shift)
+            for b, m in zip(books, msgs)
+        )
+        return _decode_stages(cfg, resid, layers, order, {"candidate": cand, "layers": _layers_meta(books)})
+
+    return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, powers, list(cfg.rates)), run)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +536,9 @@ def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         raise ConfigError("channel matrix has no rational-ratio witness")
     ch = ChannelMatrix3(h, h1_witness=witness)
     sig = cfg.sigma2s or [cfg.sigma2] * 3
-    check = very_strong_general(ch, cfg.powers, sig)
+    # noiseless hooks (sigma2 < 1) test mechanics only; as for very-strong-sym,
+    # the condition sets are checked at the nominal unit noise floor
+    check = very_strong_general(ch, cfg.powers, [max(s, 1.0) for s in sig])
     if check is None:
         raise ConfigError("no very-strong condition set holds for this config")
 
@@ -570,22 +559,14 @@ def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         xs = [b.words[rng_msg.integers(0, len(b), size=T)] for b in books]
         z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
         y = receive(ch, 0, xs, math.sqrt(sig[0]) * z)
-
-        agg_true = h[0, 1] * xs[1] + h[0, 2] * xs[2]
-        agg_shift = h[0, 1] * books[1].shift + h[0, 2] * books[2].shift
         sums = None
         if len(books[1]) * len(books[2]) <= _MAX_RESTRICTED_ROWS:
             grid = h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
             sums = np.unique(np.round(grid.reshape(-1, n), 9), axis=0)
         # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
-        agg_lat = scale_lattice(books[2].lattice, h[0, 2])
-        dec_i = _decode_aggregate(sums, agg_lat, agg_shift, y)
-        bad_i = _rows_differ(dec_i, agg_true)
-        dec_m = _nearest_rows(books[0].words, y - (agg_true if cfg.genie else dec_i))
-        bad_m = _rows_differ(dec_m, xs[0])
-        return _stats(
-            bad_m, [int(bad_i.sum())], [int(bad_m.sum())], {"candidate": cand, "condition_set": check[1]}
-        )
+        layer = (books[0].words, xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums,
+                 scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift)
+        return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"candidate": cand, "condition_set": check[1]})
 
     return _search(cfg, build, run)
 
@@ -593,8 +574,8 @@ def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
 # the scheme drivers take a config that `run_simulation` has validated
 _DRIVERS = {
     "p2p": _simulate_point_to_point,
-    "very-strong-sym": _simulate_very_strong_symmetric,
-    "layered-sym": _simulate_layered_symmetric,
+    "very-strong-sym": _simulate_symmetric,
+    "layered-sym": _simulate_symmetric,
     "very-strong-general": _simulate_very_strong_general,
 }
 

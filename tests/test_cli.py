@@ -350,12 +350,17 @@ class TestBadInputs:
         f' "shift_trials": {MAX_SHIFT_TRIALS + 1}}}',
         f'{{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3,'
         f' "search_budget": {MAX_SEARCH_BUDGET + 1}}}',
+        # every (p, k) candidate of the largest rate has more than 100 000 cosets
+        '{"scheme": "p2p", "n": 10, "trials": 100, "master_seed": 0, "rates": [2.0], "power": 15}',
+        '{"scheme": "very-strong-general", "n": 10, "trials": 100, "master_seed": 0, "rates": [2.5, 0.3, 0.3],'
+        ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, 4], [4, 4, 1]]}',
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
             "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge",
             "p2p-target-overflow", "p2p-sphere-overflow", "p2p-volume-inf", "general-target-overflow",
             "power-huge-int", "very-strong-distance-overflow", "layered-distance-overflow",
             "general-distance-overflow", "p2p-noise-overflow", "general-h-not-3x3",
-            "trials-above-cap", "shift-trials-above-cap", "search-budget-above-cap"])
+            "trials-above-cap", "shift-trials-above-cap", "search-budget-above-cap",
+            "p2p-no-candidate", "general-no-candidate"])
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
 

@@ -219,6 +219,24 @@ class TestSchemes:
         assert stats.meta["condition_set"] == 1
         assert stats.block_error_rate <= 0.2
 
+    def test_noiseless_very_strong_general_zero_errors(self):
+        # as for very-strong-sym, the regime is checked at the unit noise floor
+        cfg = SimConfig(
+            scheme="very-strong-general",
+            n=6,
+            trials=200,
+            master_seed=5,
+            rates=[0.3] * 3,
+            powers=[3.0] * 3,
+            h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]],
+            sigma2=1e-6,
+            search_budget=4,
+        )
+        stats = run_simulation(cfg)
+        assert stats.block_errors == 0
+        assert not any(stats.per_stage_interference_errors)
+        assert not any(stats.per_stage_message_errors)
+
     def test_very_strong_general_requires_witness(self):
         h = [[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]
         cfg = SimConfig(
@@ -358,6 +376,12 @@ PINNED = {
         dict(scheme="very-strong-general", n=6, master_seed=6, rates=[0.5] * 3, powers=[3.0] * 3,
              h=[[1, 6, 9], [12, 1, 6], [9, 12, 1]], search_budget=3),
         "219da2b670f78eec47e595a1b4f6a714413e08ce6e9a6e13ad39d4ead8981c01",
+    ),
+    # about 1120 words per user: the grid sumset is too large, so h13*L3 decodes
+    "very-strong-general-fallback": (
+        dict(scheme="very-strong-general", n=4, master_seed=3, rates=[2.5] * 3, powers=[63.0] * 3,
+             h=[[1, 12, 12], [12, 1, 12], [12, 12, 1]], search_budget=2),
+        "b85de09cc74c20ebe4970ed6afded6b46688338d61b1d2027e7dcf5f360feae7",
     ),
 }
 
