@@ -72,8 +72,8 @@ def _check_numeric_flags(args) -> None:
 
 
 def cmd_dof_curve(args) -> tuple[str, dict, int]:
-    if not (0 < args.a2_min < args.a2_max):
-        raise ConfigError("need 0 < a2-min < a2-max")
+    if not args.a2_min < args.a2_max:
+        raise ConfigError("need a2-min < a2-max")
     if not 2 <= args.steps <= MAX_GRID_SIZE:
         raise ConfigError(f"steps must lie in 2 to {MAX_GRID_SIZE}")
     if args.log_axis:
@@ -87,12 +87,12 @@ def cmd_dof_curve(args) -> tuple[str, dict, int]:
 
 def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
     if (
-        not 0 < args.p_min <= args.p_max
+        not args.p_min <= args.p_max
         or not 1 <= args.steps <= MAX_GRID_SIZE
         or not 2 <= args.grid_size <= MAX_GRID_SIZE
     ):
         raise ConfigError(
-            f"need 0 < p-min <= p-max, 1 <= steps <= {MAX_GRID_SIZE} and 2 <= grid-size <= {MAX_GRID_SIZE}"
+            f"need p-min <= p-max, 1 <= steps <= {MAX_GRID_SIZE} and 2 <= grid-size <= {MAX_GRID_SIZE}"
         )
     a2 = squared_gain("--a", args.a)
     # every power sum of the baseline, also in the weak regime's residual layer, is <= 1 + (1 + 2a^2) P

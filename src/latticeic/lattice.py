@@ -60,13 +60,6 @@ def _rref_mod_p(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank_mod_p(rows: np.ndarray, p: int) -> int:
-    if rows.size == 0:
-        return 0
-    _, pivots = _rref_mod_p(rows, p)
-    return len(pivots)
-
-
 @dataclass(frozen=True)
 class LinearCode:
     """A linear (n, k) code over Z_p given by k independent generator rows."""
@@ -84,10 +77,10 @@ class LinearCode:
         gens = np.asarray(self.generators, dtype=np.int64) % self.p
         if gens.shape != (self.k, self.n):
             raise ValueError(f"generator shape {gens.shape} != ({self.k}, {self.n})")
-        if self.k > 0 and rank_mod_p(gens, self.p) != self.k:
-            raise ValueError("generator rows are not independent over Z_p")
         object.__setattr__(self, "generators", gens)
         gens.setflags(write=False)
+        if len(self._rref[1]) != self.k:
+            raise ValueError("generator rows are not independent over Z_p")
 
     @cached_property
     def _rref(self) -> tuple[np.ndarray, list[int]]:
@@ -140,12 +133,11 @@ def make_linear_code(n: int, k: int, p: int, seed) -> LinearCode:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    if k == 0:
-        return LinearCode(n, 0, p, np.zeros((0, n), dtype=np.int64))
     while True:
-        gens = rng.integers(0, p, size=(k, n), dtype=np.int64)
-        if rank_mod_p(gens, p) == k:
-            return LinearCode(n, k, p, gens)
+        try:
+            return LinearCode(n, k, p, rng.integers(0, p, size=(k, n), dtype=np.int64))
+        except ValueError:  # dependent rows: p and k are valid, so nothing else fails
+            continue
 
 
 @dataclass(frozen=True)

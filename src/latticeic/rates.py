@@ -259,10 +259,10 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
 # ---------------------------------------------------------------------------
 
 def very_strong_symmetric(a2: float, P: float, sigma2: float = 1.0) -> RateReport | None:
-    """Single-layer rate (1/2)log2(P/sigma2) per user when a2 >= P/sigma2 + 1."""
+    """Single-layer rate (1/2)log2(P/sigma2) per user when a2 >= P/sigma2 + 1 - 1e-12."""
     if a2 <= 0 or P <= 0 or sigma2 <= 0:
         raise ValueError("inputs must be positive")
-    if a2 < P / sigma2 + 1.0:
+    if a2 < P / sigma2 + 1.0 - 1e-12:
         return None
     r = max(0.0, 0.5 * math.log2(P / sigma2))
     return _report([r] * 3, "very-strong", "message-decoding")

@@ -41,6 +41,7 @@ from .rates import (
     layered_allocation_symmetric,
     stage_constraints_strong,
     very_strong_general,
+    very_strong_symmetric,
 )
 
 # stream tags for keyed seed derivation
@@ -104,7 +105,11 @@ class SimConfig:
     shift_trials: int = 8
     genie: bool = False
 
-    def validate(self) -> None:
+    def validate(self):
+        """Refuse every config that a scheme rule forbids and return the plan
+        its driver runs: None for p2p, (layer powers, stage order) for the
+        symmetric schemes, (channel, per-receiver noise, condition set,
+        alignment factor magnitudes) for very-strong-general."""
         # annotations are strings here (postponed evaluation), e.g. "float | None"
         for f in dataclasses.fields(self):
             kind, _, optional = f.type.partition(" | ")
@@ -138,14 +143,7 @@ class SimConfig:
             if self.a is None:
                 raise ConfigError(f"{self.scheme} requires gain a")
             a2 = squared_gain("config field 'a'", self.a)
-        if self.scheme == "very-strong-sym":
-            # noiseless hooks (sigma2 < 1) test mechanics only; the regime
-            # condition is checked at the nominal unit noise floor
-            if a2 < self.power / max(self.sigma2, 1.0) + 1.0 - 1e-12:
-                raise ConfigError(
-                    "very-strong condition a^2 >= P/sigma2 + 1 violated"
-                )
-        elif self.scheme == "layered-sym":
+        if self.scheme == "layered-sym":
             try:
                 _ladder(a2)
             except AllocationError as exc:
@@ -153,16 +151,43 @@ class SimConfig:
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
         elif self.scheme == "very-strong-general":
-            if self.h is None or len(self.h) != 3 or any(len(row) != 3 for row in self.h):
-                raise ConfigError("very-strong-general requires a 3x3 channel matrix h")
             if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
                 raise ConfigError("very-strong-general requires 3 positive powers")
+            try:  # h: 3x3, unit diagonal, a witness and finite alignment factors
+                ch = ChannelMatrix3(self.h, h1_witness=class_h1_membership(self.h))
+                factors = [abs(f) for f in alignment_factors(ch)]
+            except ValueError as exc:
+                raise ConfigError(f"very-strong-general: {exc}") from exc
         # one rate per layer (layered-sym) or per user (very-strong-general)
         count = {"layered-sym": self.N, "very-strong-general": 3}.get(self.scheme, 1)
         if len(self.rates) != count:
             raise ConfigError(f"{self.scheme} needs {count} rates, got {len(self.rates)}")
         if not (bound := self.squared_distance_bound()) <= MAX_SQUARED_DISTANCE:
             raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
+        # The ladder powers come after the bound, which refuses gains whose powers overflow. Noiseless
+        # hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
+        noise = self.sigma2s if self.scheme == "very-strong-general" and self.sigma2s else [self.sigma2] * 3
+        floors = [max(s, 1.0) for s in noise]
+        if self.scheme == "very-strong-sym":
+            if very_strong_symmetric(a2, self.power, floors[0]) is None:
+                raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
+            return [self.power], _STRONG_ORDER
+        if self.scheme == "layered-sym":
+            alloc = layered_allocation_symmetric(a2, self.N)
+            powers = list(alloc.powers)
+            if alloc.regime == "strong":
+                ceil, order = np.minimum(*stage_constraints_strong(a2, powers)), _STRONG_ORDER
+            else:
+                ceil, order = alloc.rates, _WEAK_ORDER
+            for i, r in enumerate(self.rates):
+                if r > ceil[i] + 1e-12:
+                    raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}")
+            return powers, order
+        if self.scheme == "very-strong-general":
+            check = very_strong_general(ch, self.powers, floors)
+            if check is None:
+                raise ConfigError("no very-strong condition set holds for this config")
+            return ch, noise, check[1], factors
 
     def squared_distance_bound(self) -> float:
         """n * (3S)^2, a bound on every squared distance the decoders compute.
@@ -427,7 +452,7 @@ def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, 
     return _stats(block_bad, int_errs, msg_errs, meta)
 
 
-def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
+def _simulate_point_to_point(cfg: SimConfig, _plan: None) -> ErrorStats:
     """Single-user AWGN run: y = x + z, nearest-point decoding restricted to
     the shaping sphere; best-of-budget lattice selection."""
 
@@ -447,32 +472,17 @@ def _simulate_point_to_point(cfg: SimConfig) -> ErrorStats:
     return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)
 
 
-def _simulate_symmetric(cfg: SimConfig) -> ErrorStats:
+def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]]) -> ErrorStats:
     """Symmetric run: every user sends one word per layer from the layer's
     shared codebook, and receiver 1 decodes layer by layer.
 
     very-strong-sym is one layer at `cfg.power`, interference first.
     layered-sym takes the geometric power ladder: the strong regime decodes
     interference before the message at every stage, the weak regime the
-    reverse, and per-layer rates must not exceed the per-stage ceilings.
+    reverse.
     """
+    powers, order = plan
     a = float(cfg.a)
-    if cfg.scheme == "very-strong-sym":
-        powers, order = [cfg.power], _STRONG_ORDER
-    else:
-        a2 = cfg.a**2
-        alloc = layered_allocation_symmetric(a2, cfg.N)
-        powers = list(alloc.powers)
-        if alloc.regime == "strong":
-            r_int, r_msg = stage_constraints_strong(a2, powers)
-            ceil, order = np.minimum(r_int, r_msg), _STRONG_ORDER
-        else:
-            ceil, order = alloc.rates, _WEAK_ORDER
-        for i, r in enumerate(cfg.rates):
-            if r > ceil[i] + 1e-12:
-                raise ConfigError(
-                    f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}"
-                )
 
     def run(cand, books):
         T = cfg.trials
@@ -527,24 +537,12 @@ def align_interference_lattices(
     )
 
 
-def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
+def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
     """Nonsymmetric single-layer run at receiver 1 with aligned per-user
     lattices; interference decoded as one aggregate point on h13*L3."""
-    h = np.array(cfg.h, dtype=float)
-    witness = class_h1_membership(h)
-    if witness is None:
-        raise ConfigError("channel matrix has no rational-ratio witness")
-    ch = ChannelMatrix3(h, h1_witness=witness)
-    sig = cfg.sigma2s or [cfg.sigma2] * 3
-    # noiseless hooks (sigma2 < 1) test mechanics only; as for very-strong-sym,
-    # the condition sets are checked at the nominal unit noise floor
-    check = very_strong_general(ch, cfg.powers, [max(s, 1.0) for s in sig])
-    if check is None:
-        raise ConfigError("no very-strong condition set holds for this config")
-
-    n, T = cfg.n, cfg.trials
+    ch, noise, condition_set, factors = plan
+    h, n, T = ch.h, cfg.n, cfg.trials
     pairs = _candidate_params(n, max(cfg.rates))
-    factors = [abs(f) for f in alignment_factors(ch)]
 
     def build(cand):
         # base lattice scaled so every user's codebook can meet its target
@@ -558,7 +556,7 @@ def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         rng_msg = keyed_stream(cfg.master_seed, _MSG, cand)
         xs = [b.words[rng_msg.integers(0, len(b), size=T)] for b in books]
         z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
-        y = receive(ch, 0, xs, math.sqrt(sig[0]) * z)
+        y = receive(ch, 0, xs, math.sqrt(noise[0]) * z)
         sums = None
         if len(books[1]) * len(books[2]) <= _MAX_RESTRICTED_ROWS:
             grid = h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
@@ -566,12 +564,12 @@ def _simulate_very_strong_general(cfg: SimConfig) -> ErrorStats:
         # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
         layer = (books[0].words, xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums,
                  scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift)
-        return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"candidate": cand, "condition_set": check[1]})
+        return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"candidate": cand, "condition_set": condition_set})
 
     return _search(cfg, build, run)
 
 
-# the scheme drivers take a config that `run_simulation` has validated
+# each scheme driver takes a validated config and the plan its validation returned
 _DRIVERS = {
     "p2p": _simulate_point_to_point,
     "very-strong-sym": _simulate_symmetric,
@@ -582,6 +580,6 @@ _DRIVERS = {
 
 def run_simulation(cfg: SimConfig) -> ErrorStats:
     """The one way to run a simulation: validate the config once, then run
-    its scheme's driver."""
-    cfg.validate()
-    return _DRIVERS[cfg.scheme](cfg)
+    its scheme's driver on the plan the validation returned."""
+    plan = cfg.validate()
+    return _DRIVERS[cfg.scheme](cfg, plan)

@@ -1,7 +1,9 @@
 """Command-line interface: outputs, manifests and exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, MAX_N_MAX, main
 from latticeic.rates import dof_symmetric
-from latticeic.simulate import MAX_SEARCH_BUDGET, MAX_SHIFT_TRIALS, MAX_TRIALS
+from latticeic.simulate import MAX_SEARCH_BUDGET, MAX_SHIFT_TRIALS, MAX_TRIALS, ConfigError, SimConfig
 
 
 def read_csv(path):
@@ -643,16 +645,37 @@ def wild_configs(draw):
     return doc
 
 
+def validates(doc) -> bool:
+    try:
+        SimConfig(**doc).validate()
+    except ConfigError:
+        return False
+    return True
+
+
+# layer 1's rate is above its stage ceiling, 2.2925 bits at a = 5
+OVER_CEILING_CONFIG = dict(
+    scheme="layered-sym", n=6, trials=100, master_seed=0, search_budget=4, shift_trials=1,
+    rates=[2.5, 2.5], N=2, a=5.0,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(doc=wild_configs())
 @example(doc=OVERFLOW_CONFIG)
+@example(doc=OVER_CEILING_CONFIG)
 def test_simulate_config_exit_codes_and_finite_output(doc):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "sim.json", Path(tmp) / "run.jsonl"
         config.write_text(json.dumps(doc))
-        rc = main(["simulate", "--config", str(config), "--out", str(out)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--config", str(config), "--out", str(out)])
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
         if rc != EXIT_OK:
             assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+            # a scheme rule refuses in validate; only per-candidate refusals remain in the run
+            if rc == EXIT_VALIDATION and validates(doc):
+                assert not any(rule in err.getvalue() for rule in ("stage ceiling", "witness", "condition set"))
             return
         assert all_finite(json.loads(out.read_text()))

@@ -345,6 +345,11 @@ class TestVeryStrong:
     def test_condition_fails(self):
         assert very_strong_symmetric(2.0, 3.0, 1.0) is None
 
+    def test_gain_at_the_bound_survives_rounding(self):
+        # a = sqrt(P + 1) squares to just below P + 1 at P = 2; a simulator config uses such a gain
+        assert math.sqrt(3.0) ** 2 < 3.0
+        assert very_strong_symmetric(math.sqrt(3.0) ** 2, 2.0) is not None
+
     def test_general_noise(self):
         r = very_strong_symmetric(4.0, 3.0, 2.0)
         assert r.per_user_rates[0] == pytest.approx(0.5 * math.log2(1.5))

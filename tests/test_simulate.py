@@ -93,6 +93,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # each one passed validation and was refused by its driver, or raised a bare ValueError
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2),
+        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                  powers=[3.0] * 3, h=[[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]),
+        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                  powers=[3.0] * 3, h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]),
+        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                  powers=[3.0] * 3, h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]),
+    ], ids=["above-stage-ceiling", "no-witness", "no-condition-set", "non-unit-diagonal"])
+    def test_scheme_rules_refused_by_validate(self, cfg):
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
     @pytest.mark.parametrize("cfg", [
         SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=3.0, search_budget=1),
         vs_config(search_budget=1),
