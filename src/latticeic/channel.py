@@ -110,15 +110,24 @@ def keyed_stream(master_seed, *key: int) -> np.random.Generator:
 
 def alignment_factors(ch: ChannelMatrix3) -> tuple[float, float, float]:
     """Scale factors (f1, f2, f3) of the aligned lattices f_k * L from the
-    witness (p, q): h12*f2 = p*h13*f3 and h21*f1 = q*h23*f3, with f3 = 1."""
+    witness (p, q): h12*f2 = p*h13*f3 and h21*f1 = q*h23*f3, with f3 = 1.
+    The one judge of alignment: refused unless the cross gains are nonzero,
+    the factors finite and nonzero, and the third equality h31*f1 = h32*f2
+    (receiver 3) holds within 1e-9 relative, as it does when p/q is the
+    cyclic ratio and not only near it."""
     if ch.h1_witness is None:
         raise ValueError("channel has no rational-ratio witness")
     p, q = ch.h1_witness
-    h = ch.h
-    # Python floats: a factor leaving the float range is refused without a numpy warning
-    f1, f2 = q * float(h[1, 2]) / float(h[1, 0]), p * float(h[0, 2]) / float(h[0, 1])
+    # Python floats: a factor or product leaving the float range is refused without a numpy warning
+    (_, h12, h13), (h21, _, h23), (h31, h32, _) = ch.h.tolist()
+    if 0.0 in (h12, h13, h21, h23, h31, h32):
+        raise ValueError("all cross gains must be nonzero")
+    f1, f2 = q * h23 / h21, p * h13 / h12
     if not (0.0 < abs(f1) < math.inf and 0.0 < abs(f2) < math.inf):
         raise ValueError(f"alignment scale factors must be finite and nonzero, got {f1!r} and {f2!r}")
+    lhs, rhs = abs(h31 * f1), abs(h32 * f2)
+    if not (lhs < math.inf and math.isclose(lhs, rhs, rel_tol=1e-9)):
+        raise ValueError(f"witness ({p}, {q}) does not align receiver 3: |h31 f1| = {lhs!r}, |h32 f2| = {rhs!r}")
     return f1, f2, 1.0
 
 

@@ -37,7 +37,6 @@ from .lattice import (
 )
 from .rates import (
     AllocationError,
-    _ladder,
     layered_allocation_symmetric,
     stage_constraints_strong,
     very_strong_general,
@@ -56,8 +55,10 @@ _MATCH_TOL = 1e-6
 MAX_TRIALS = 1_000_000
 MAX_SHIFT_TRIALS = 1_000_000
 MAX_SEARCH_BUDGET = 10_000
-# largest admitted SimConfig.squared_distance_bound, 1.8e8 below the float maximum
+# largest admitted _squared_distance_bound, 1.8e8 below the float maximum
 MAX_SQUARED_DISTANCE = 1e300
+# code moduli of the candidate lattices
+_PRIMES = (5, 7, 11, 13)
 # most cosets p^k of a candidate lattice that the decoders enumerate
 _MAX_COSETS = 100_000
 
@@ -143,38 +144,48 @@ class SimConfig:
             if self.a is None:
                 raise ConfigError(f"{self.scheme} requires gain a")
             a2 = squared_gain("config field 'a'", self.a)
+        # the powers of user 1's layers (shared by every user of a symmetric scheme), or of each user
         if self.scheme == "layered-sym":
-            try:
-                _ladder(a2)
-            except AllocationError as exc:
-                raise ConfigError(f"layered-sym: {exc}") from exc
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
+            try:  # a ladder power that overflows to inf is refused by the distance bound below
+                with np.errstate(over="ignore"):
+                    alloc = layered_allocation_symmetric(a2, self.N)
+            except AllocationError as exc:
+                raise ConfigError(f"layered-sym: {exc}") from exc
+            powers = alloc.powers.tolist()
         elif self.scheme == "very-strong-general":
             if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
                 raise ConfigError("very-strong-general requires 3 positive powers")
-            try:  # h: 3x3, unit diagonal, a witness and finite alignment factors
+            try:  # h: 3x3, unit diagonal, a witness that aligns every receiver
                 ch = ChannelMatrix3(self.h, h1_witness=class_h1_membership(self.h))
                 factors = [abs(f) for f in alignment_factors(ch)]
             except ValueError as exc:
                 raise ConfigError(f"very-strong-general: {exc}") from exc
+            powers = self.powers
+        else:
+            powers = [self.power]
         # one rate per layer (layered-sym) or per user (very-strong-general)
         count = {"layered-sym": self.N, "very-strong-general": 3}.get(self.scheme, 1)
         if len(self.rates) != count:
             raise ConfigError(f"{self.scheme} needs {count} rates, got {len(self.rates)}")
-        if not (bound := self.squared_distance_bound()) <= MAX_SQUARED_DISTANCE:
-            raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
-        # The ladder powers come after the bound, which refuses gains whose powers overflow. Noiseless
-        # hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
         noise = self.sigma2s if self.scheme == "very-strong-general" and self.sigma2s else [self.sigma2] * 3
+        # receiver 1's gains and each user's layer powers; p2p has no interferers
+        if self.scheme == "very-strong-general":
+            gains, layers = self.h[0], [[P] for P in powers]
+        else:
+            gains, layers = ([1.0] if self.scheme == "p2p" else [1.0, self.a, self.a]), [powers] * 3
+        if not (bound := _squared_distance_bound(self.n, gains, layers, noise[0])) <= MAX_SQUARED_DISTANCE:
+            raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
+        # Noiseless hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
         floors = [max(s, 1.0) for s in noise]
-        if self.scheme == "very-strong-sym":
+        if self.scheme == "p2p":
+            plan = None
+        elif self.scheme == "very-strong-sym":
             if very_strong_symmetric(a2, self.power, floors[0]) is None:
                 raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
-            return [self.power], _STRONG_ORDER
-        if self.scheme == "layered-sym":
-            alloc = layered_allocation_symmetric(a2, self.N)
-            powers = list(alloc.powers)
+            plan = powers, _STRONG_ORDER
+        elif self.scheme == "layered-sym":
             if alloc.regime == "strong":
                 ceil, order = np.minimum(*stage_constraints_strong(a2, powers)), _STRONG_ORDER
             else:
@@ -182,34 +193,20 @@ class SimConfig:
             for i, r in enumerate(self.rates):
                 if r > ceil[i] + 1e-12:
                     raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}")
-            return powers, order
-        if self.scheme == "very-strong-general":
+            plan = powers, order
+        else:
             check = very_strong_general(ch, self.powers, floors)
             if check is None:
                 raise ConfigError("no very-strong condition set holds for this config")
-            return ch, noise, check[1], factors
-
-    def squared_distance_bound(self) -> float:
-        """n * (3S)^2, a bound on every squared distance the decoders compute.
-
-        S = sum_k |g_k| A_k + 40 sigma bounds receiver 1's coordinates: g_k is
-        1 for its own user and a, or h12 and h13, for the others; A_k sums
-        sqrt(n P_l) over user k's layer powers (the ladder's for layered-sym);
-        sigma^2 is the noise power, and 40 sigma is beyond any normal draw. A
-        residual stays within 2S and a candidate within S."""
-        if self.scheme == "very-strong-general":
-            gains, layers, noise = self.h[0], [[P] for P in self.powers], (self.sigma2s or [self.sigma2])[0]
-        else:
-            if self.scheme == "layered-sym":
-                _, base, ratio, _ = _ladder(self.a**2)
-                own = [base, base * ratio, base * ratio * ratio][: self.N]  # products: ** raises on overflow
-            else:
-                own = [self.power]
-            gains = [1.0] if self.scheme == "p2p" else [1.0, self.a, self.a]
-            layers, noise = [own] * 3, self.sigma2
-        S = sum(abs(g) * sum(math.sqrt(self.n * P) for P in ps) for g, ps in zip(gains, layers))
-        d = 3.0 * (S + 40.0 * math.sqrt(noise))
-        return self.n * d * d
+            plan = ch, noise, check[1], factors
+        # each layer's or user's lattice is scaled to its shaping-sphere volume per codeword, whose quotient
+        # by a candidate's p^(n-k) <= 13^(n-1) cosets must stay positive and finite
+        for P, R in zip(powers, self.rates):
+            if not 0.0 < _volume_per_word(self.n, P, R) / max(_PRIMES) ** (self.n - 1) < math.inf:
+                raise ConfigError(
+                    f"n={self.n}, rate={R!r}, power={P!r}: the shaping-sphere volume per codeword leaves the float range"
+                )
+        return plan
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -261,26 +258,36 @@ def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> t
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _squared_distance_bound(n: int, gains, layers, noise: float) -> float:
+    """n * (3S)^2, a bound on every squared distance the decoders compute:
+    S = sum_k |g_k| sum_l sqrt(n P_kl) + 40 sigma bounds receiver 1's
+    coordinates, over user k's gain g_k there and layer powers P_kl (40 sigma
+    is beyond any normal draw), so a residual stays within 2S."""
+    S = sum(abs(g) * sum(math.sqrt(n * P) for P in ps) for g, ps in zip(gains, layers))
+    d = 3.0 * (S + 40.0 * math.sqrt(noise))
+    return n * d * d
+
+
+def _volume_per_word(n: int, power: float, rate: float) -> float:
+    """Volume of the shaping sphere of power `power` per word of the 2^(nR)
+    codebook target; inf where a term overflows, 0 where it underflows."""
+    try:
+        return math.pi ** (n / 2) * math.sqrt(n * power) ** n / math.gamma(n / 2 + 1) / 2.0 ** (n * rate)
+    except OverflowError:
+        return math.inf
+
+
 def _cell_scale(n: int, power: float, rate: float, p: int, k: int) -> float:
     """Scale gamma of a Construction-A lattice over an (n, k) code mod p whose
-    fundamental volume gamma^n p^(n-k) equals the volume of the shaping sphere
-    of power `power` per word of the 2^(nR) codebook target; refused where a
-    term leaves the float range."""
-    try:
-        vol = math.pi ** (n / 2) * math.sqrt(n * power) ** n / math.gamma(n / 2 + 1) / 2.0 ** (n * rate)
-    except OverflowError:
-        vol = math.inf
-    if not 0.0 < vol < math.inf:
-        raise ConfigError(
-            f"n={n}, rate={rate!r}, power={power!r}: the shaping-sphere volume per codeword leaves the float range"
-        )
-    return (vol / p ** (n - k)) ** (1.0 / n)
+    fundamental volume gamma^n p^(n-k) equals `_volume_per_word`;
+    `SimConfig.validate` keeps gamma positive and finite."""
+    return (_volume_per_word(n, power, rate) / p ** (n - k)) ** (1.0 / n)
 
 
 def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
     """(p, k) pairs whose coset count stays enumerable at desk scale."""
     pairs = []
-    for p in (5, 7, 11, 13):
+    for p in _PRIMES:
         k_est = round(n * max(rate, 0.25) / math.log2(p))
         for k in (k_est, k_est + 1, k_est + 2):
             k = min(max(k, 1), n - 1)
@@ -511,30 +518,11 @@ def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]
 # Aligned lattices for nonsymmetric channels
 # ---------------------------------------------------------------------------
 
-def align_interference_lattices(
-    ch: ChannelMatrix3, base: Lattice, rtol: float = 1e-9
-) -> tuple[Lattice, Lattice, Lattice]:
-    """Scalings of `base` so the two interference lattices coincide at every
-    receiver: h12*L2 = p*h13*L3, h21*L1 = q*h23*L3, h31*L1 = h32*L2.
-
-    The first two equalities fix the scale factors; the third holds
-    through the rational cyclic-ratio identity and is verified here.
-    """
-    h = ch.h
-    if np.any(h[~np.eye(3, dtype=bool)] == 0):
-        raise ValueError("all cross gains must be nonzero")
-    f1, f2, f3 = alignment_factors(ch)
-    lhs = abs(h[2, 0] * f1)
-    rhs = abs(h[2, 1] * f2)
-    if abs(lhs - rhs) > rtol * max(lhs, rhs):
-        raise ValueError(
-            f"alignment residual {abs(lhs - rhs):.3e} exceeds tolerance; witness inconsistent"
-        )
-    return (
-        scale_lattice(base, f1),
-        scale_lattice(base, f2),
-        scale_lattice(base, f3),
-    )
+def align_interference_lattices(ch: ChannelMatrix3, base: Lattice) -> tuple[Lattice, Lattice, Lattice]:
+    """Scalings of `base` by `channel.alignment_factors`, so the two
+    interference lattices coincide at every receiver: h12*L2 = p*h13*L3,
+    h21*L1 = q*h23*L3, h31*L1 = h32*L2 (refused there if they do not)."""
+    return tuple(scale_lattice(base, f) for f in alignment_factors(ch))
 
 
 def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:

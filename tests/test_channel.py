@@ -8,6 +8,7 @@ import pytest
 
 from latticeic.channel import (
     ChannelMatrix3,
+    alignment_factors,
     channel_from_json,
     class_h1_membership,
     receive,
@@ -96,6 +97,22 @@ class TestMembership:
         assert ch.h1_witness == (6, 1)
         doc = {"h": matrix_with_cross(h12=math.sqrt(2.0)).tolist(), "max_den": 1000}
         assert channel_from_json(json.dumps(doc)).h1_witness is None
+
+
+class TestAlignmentFactors:
+    def test_zero_cross_gains_rejected(self):
+        # the witness (1, 1) of the identity channel would divide by a zero gain
+        with pytest.raises(ValueError, match="nonzero"):
+            alignment_factors(symmetric_channel(0.0))
+
+    def test_witness_that_misaligns_receiver_3_rejected(self):
+        # ratio 1/7 + 8e-10: the witness (1, 7) is within class_h1_membership's 1e-9, but
+        # |h31 f1| and |h32 f2| differ by 5.6e-9 relative
+        h = matrix_with_cross(h12=15 * (1 / 7 + 8e-10), h13=20.0, h21=15.0, h23=20.0, h31=20.0, h32=20.0)
+        ch = ChannelMatrix3(h, h1_witness=class_h1_membership(h))
+        assert ch.h1_witness == (1, 7)
+        with pytest.raises(ValueError, match="receiver 3"):
+            alignment_factors(ch)
 
 
 class TestTransmit:

@@ -101,6 +101,11 @@ class TestSymRateCompare:
         assert manifest["params"]["warnings"]
 
 
+# the cyclic ratio is 1/7 + 8e-10: the witness (1, 7) is within the 1e-9 membership tolerance,
+# but |h31 f1| and |h32 f2| differ by 5.6e-9 relative, so receiver 3's lattices do not align
+MISALIGNED_H = [[1, 15 * (1 / 7 + 8e-10), 20], [15, 1, 20], [20, 20, 1]]
+
+
 class TestAlignCheck:
     def write_matrix(self, tmp_path, h):
         path = tmp_path / "h.json"
@@ -141,6 +146,16 @@ class TestAlignCheck:
         out = tmp_path / "report.json"
         assert main(["align-check", "--matrix-file", str(mat), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text()) == {"member": False, "witness": None}
+
+    def test_misaligned_witness_validation_error(self, tmp_path, capsys):
+        # the witness (1, 7) is within tol of the cyclic ratio but misaligns receiver 3
+        mat = self.write_matrix(tmp_path, MISALIGNED_H)
+        out = tmp_path / "report.json"
+        argv = ["align-check", "--matrix-file", str(mat), "--powers", "3,3,3", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "receiver 3" in err and err.count("\n") == 1
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
     def test_zero_cross_gain_validation_error(self, tmp_path):
         mat = self.write_matrix(tmp_path, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -341,6 +356,8 @@ class TestBadInputs:
         # the decoders' squared distances could overflow
         json.dumps(OVERFLOW_CONFIG),
         '{"scheme": "layered-sym", "n": 2, "trials": 100, "master_seed": 0, "rates": [0.1, 0.1], "N": 2, "a": 1e40}',
+        # the ladder's ratio**2 overflows to inf: refused by the bound, with no numpy warning
+        '{"scheme": "layered-sym", "n": 2, "trials": 100, "master_seed": 0, "rates": [0.1, 0.1, 0.1], "N": 3, "a": 1e55}',
         '{"scheme": "very-strong-general", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.3, 0.3, 0.3],'
         ' "powers": [3, 3, 3], "h": [[1, 1e160, 1e160], [1e160, 1, 1e160], [1e160, 1e160, 1]]}',
         '{"scheme": "p2p", "n": 4, "trials": 100, "master_seed": 0, "rates": [0.5], "power": 3, "sigma2": 1e308}',
@@ -359,7 +376,7 @@ class TestBadInputs:
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
             "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge",
             "p2p-target-overflow", "p2p-sphere-overflow", "p2p-volume-inf", "general-target-overflow",
-            "power-huge-int", "very-strong-distance-overflow", "layered-distance-overflow",
+            "power-huge-int", "very-strong-distance-overflow", "layered-distance-overflow", "layered-ladder-overflow",
             "general-distance-overflow", "p2p-noise-overflow", "general-h-not-3x3",
             "trials-above-cap", "shift-trials-above-cap", "search-budget-above-cap",
             "p2p-no-candidate", "general-no-candidate"])
@@ -658,12 +675,27 @@ OVER_CEILING_CONFIG = dict(
     scheme="layered-sym", n=6, trials=100, master_seed=0, search_budget=4, shift_trials=1,
     rates=[2.5, 2.5], N=2, a=5.0,
 )
+# the witness (1, 7) misaligns receiver 3; the shaping-sphere volume per codeword overflows or underflows
+MISALIGNED_CONFIG = dict(
+    scheme="very-strong-general", n=4, trials=100, master_seed=0, search_budget=4, shift_trials=1,
+    rates=[0.2] * 3, powers=[3.0] * 3, h=MISALIGNED_H,
+)
+VOLUME_CONFIGS = [
+    dict(scheme="p2p", n=n, trials=100, master_seed=0, search_budget=4, shift_trials=1, rates=[rate], power=power)
+    for n, rate, power in ((10, 0.5, 1e200), (10, 0.5, 1e-300), (2, 3000.0, 3.0))
+]
+# the refusals a candidate lattice can meet once validate() has passed
+PER_CANDIDATE = ("shaping sphere needs over", "no candidate lattice met")
 
 
 @settings(max_examples=150, deadline=None)
 @given(doc=wild_configs())
 @example(doc=OVERFLOW_CONFIG)
 @example(doc=OVER_CEILING_CONFIG)
+@example(doc=MISALIGNED_CONFIG)
+@example(doc=VOLUME_CONFIGS[0])
+@example(doc=VOLUME_CONFIGS[1])
+@example(doc=VOLUME_CONFIGS[2])
 def test_simulate_config_exit_codes_and_finite_output(doc):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "sim.json", Path(tmp) / "run.jsonl"
@@ -674,8 +706,8 @@ def test_simulate_config_exit_codes_and_finite_output(doc):
         assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
         if rc != EXIT_OK:
             assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
-            # a scheme rule refuses in validate; only per-candidate refusals remain in the run
+            # every config rule refuses in validate; only per-candidate refusals remain in the run
             if rc == EXIT_VALIDATION and validates(doc):
-                assert not any(rule in err.getvalue() for rule in ("stage ceiling", "witness", "condition set"))
+                assert any(refusal in err.getvalue() for refusal in PER_CANDIDATE), err.getvalue()
             return
         assert all_finite(json.loads(out.read_text()))

@@ -1,6 +1,7 @@
 """The package's public names and the hooks the benchmark's tracer wraps."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import latticeic
@@ -37,3 +38,47 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert [s["name"] for s in t.spans] == ["cli.main", "rates.dof_symmetric", "rates.dof_symmetric"]
     for (layer, name), fn in originals.items():
         assert getattr(homes[layer], name) is fn
+
+
+def tiny_requests(tmp_path):
+    """One p2p simulation (lattice, simulate) and one band rate sweep (the HK baseline)."""
+    config = tmp_path / "p2p.json"
+    config.write_text(json.dumps(dict(
+        scheme="p2p", n=4, trials=100, master_seed=1, rates=[0.25], power=3.0, search_budget=2, shift_trials=1,
+    )))
+    return [
+        ["simulate", "--config", str(config), "--out", str(tmp_path / "p2p.jsonl")],
+        ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "10", "--steps", "2", "--grid-size", "11",
+         "--out", str(tmp_path / "band.csv")],
+    ]
+
+
+def test_tracer_counters_read_their_arguments(tmp_path, monkeypatch):
+    # the counters read argument names (cfg, lat, ys, shift, shift_trials, grid_size) and meta["candidates_run"]
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    uninstall = t.install()
+    try:
+        for argv in tiny_requests(tmp_path):
+            assert latticeic.cli.main(argv) == 0
+    finally:
+        uninstall()
+    plain = {"name", "start", "end", "parent", "request"}
+    for name in tracer.COUNTERS:
+        spans = [s for s in t.spans if s["name"] == name]
+        assert spans and all(set(s) > plain for s in spans), name
+    traced = tracer.layer_metrics(t.spans, 0)
+    assert traced["simulate.candidates_run"] >= 1 and traced["lattice.nearest_points_batch.rows"] >= 100
+    assert traced["rates.hk_sym_rate.grid_evals"] == 11 * traced["rates.hk_sym_rate.calls"] > 0
+    # untraced passes count blocks from what cli.run_simulation returns, as the benchmark's worker does
+    blocks = []
+    run_simulation = latticeic.cli.run_simulation
+
+    def capture(cfg):
+        stats = run_simulation(cfg)
+        blocks.append(cfg.trials * stats.meta["candidates_run"])
+        return stats
+
+    monkeypatch.setattr(latticeic.cli, "run_simulation", capture)
+    assert latticeic.cli.main(tiny_requests(tmp_path)[0]) == 0
+    assert blocks == [traced["simulate.blocks"]]

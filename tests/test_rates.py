@@ -337,6 +337,39 @@ class TestHkReferenceEquality:
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+class TestPhysicalBounds:
+    """The north star's closed-form properties: DoF in [1, 3/2], each user's
+    rate at most (1/2)log2(1+P), and a rate that does not fall as P grows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a2=st.floats(-150, 150).map(lambda e: 10.0**e))
+    def test_dof_within_one_and_three_halves(self, a2):
+        assert 1.0 <= dof_symmetric(a2) <= 1.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # log-uniform in the weak regime, the band and the strong regime
+        a2=st.one_of(st.floats(-6, math.log10(1 / 3)), st.floats(-0.47, 0.3), st.floats(math.log10(2), 6)).map(
+            lambda e: 10.0**e
+        ),
+        P=st.floats(-2, 8).map(lambda e: 10.0**e),
+    )
+    def test_rate_at_most_point_to_point_capacity(self, a2, P):
+        assert sym_rate_lattice(a2, P).per_user_rates[0] <= 0.5 * math.log2(1 + P) + 1e-12
+
+    @pytest.mark.parametrize("a2", [
+        pytest.param(a2, marks=pytest.mark.xfail(strict=True, reason=reason))
+        for reason, values in (
+            ("ROADMAP item 1: case b's residual top layer jumps down at the strong-regime thresholds", (2.5, 3.0)),
+            ("ROADMAP item 2: the weak regime's choice set shrinks at each threshold", (1 / 3, 0.25, 0.1)),
+        )
+        for a2 in values
+    ])
+    def test_rate_nondecreasing_in_power(self, a2):
+        rates = np.array([sym_rate_lattice(a2, float(P)).per_user_rates[0] for P in np.logspace(0, 6, 200)])
+        assert np.all(np.diff(rates) >= -1e-12)
+
+
 class TestVeryStrong:
     def test_condition_tight(self):
         r = very_strong_symmetric(4.0, 3.0, 1.0)

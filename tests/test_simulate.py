@@ -37,6 +37,10 @@ def vs_config(**kw):
     return SimConfig(**base)
 
 
+# the cyclic ratio is 1/7 + 8e-10, so class_h1_membership's 1e-9 tolerance gives the witness (1, 7)
+MISALIGNED_H = [[1, 15 * (1 / 7 + 8e-10), 20], [15, 1, 20], [20, 20, 1]]
+
+
 class TestWilsonInterval:
     def test_zero_errors(self):
         lo, hi = wilson_interval(0, 100)
@@ -93,7 +97,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    # each one passed validation and was refused by its driver, or raised a bare ValueError
+    # each one passed validation and was refused in the run path, or raised a bare ValueError
     @pytest.mark.parametrize("cfg", [
         SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2),
         SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
@@ -102,7 +106,16 @@ class TestConfigValidation:
                   powers=[3.0] * 3, h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]),
         SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
                   powers=[3.0] * 3, h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]),
-    ], ids=["above-stage-ceiling", "no-witness", "no-condition-set", "non-unit-diagonal"])
+        # the witness (1, 7) is within 1e-9 of the cyclic ratio but misaligns receiver 3 by 5.6e-9
+        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                  powers=[3.0] * 3, h=MISALIGNED_H),
+        # the shaping-sphere volume per codeword overflows, underflows, or leaves a cell scale of 0
+        SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200),
+        SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e-300),
+        SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[3000], power=3.0),
+        SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[0.25], power=5e-324),
+    ], ids=["above-stage-ceiling", "no-witness", "no-condition-set", "non-unit-diagonal", "misaligned-witness",
+            "volume-overflow", "volume-underflow", "target-overflow", "cell-scale-underflow"])
     def test_scheme_rules_refused_by_validate(self, cfg):
         with pytest.raises(ConfigError):
             cfg.validate()
