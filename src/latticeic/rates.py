@@ -343,11 +343,8 @@ def nonsym_layered_allocation(
             s_msg[j, i] = 1.0 + own_below + g2[j] * cross_below
         for j in range(3):
             others = [l for l in range(3) if l != j]
+            # >= (a_j^2 - 1)(1 + user j's power below stage i) >= 1, until the powers overflow
             P[j, i] = min(g2[j] * s_msg[l, i] for l in others) - s_msg[j, i]
-            if P[j, i] <= 0:
-                raise AllocationError(
-                    f"nonpositive power at user {j + 1}, stage {i + 1}"
-                )
     return LayeredAllocation(
         regime="nonsymmetric",
         powers=P,
@@ -356,22 +353,19 @@ def nonsym_layered_allocation(
     )
 
 
-def nonsym_sweep(
-    a1: float, a2: float, a3: float, N_max: int
-) -> tuple[list[tuple[int, float, float]], list[tuple[int, AllocationError]]]:
-    """The nonsymmetric allocation for N = 1..N_max: the (N, sum rate, total
-    power) row of each feasible N and the AllocationError of each other N."""
-    rows, failures = [], []
+def nonsym_sweep(a1: float, a2: float, a3: float, N_max: int) -> list[tuple[int, float, float]]:
+    """The (N, sum rate, total power) row of each N = 1..N_max, read from the
+    bottom N stages of one N_max-stage allocation: stage i depends only on
+    the stages below it."""
+    rows = []
     # huge gains overflow the layer powers; the caller refuses non-finite rows
     with np.errstate(over="ignore", invalid="ignore"):
+        alloc = nonsym_layered_allocation(a1, a2, a3, N_max)
         for N in range(1, N_max + 1):
-            try:
-                alloc = nonsym_layered_allocation(a1, a2, a3, N)
-            except AllocationError as exc:
-                failures.append((N, exc))
-                continue
-            rows.append((N, float(alloc.rates.sum()), float(np.sum(alloc.total_power))))
-    return rows, failures
+            # contiguous copies add up in the order of the N-stage arrays, so each row is bit-identical
+            rates, powers = (np.ascontiguousarray(x[:, -N:]) for x in (alloc.rates, alloc.powers))
+            rows.append((N, float(rates.sum()), float(np.sum(powers.sum(axis=1)))))
+    return rows
 
 
 def sweep_dof(rows) -> float:
@@ -397,4 +391,7 @@ def dof_nonsym_numeric(a1: float, a2: float, a3: float, N_max: int) -> float:
     over N = 1..N_max (see `sweep_dof`)."""
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    return sweep_dof(nonsym_sweep(a1, a2, a3, N_max)[0])
+    try:
+        return sweep_dof(nonsym_sweep(a1, a2, a3, N_max))
+    except AllocationError:  # a squared gain below 2
+        return 1.0  # time-sharing fallback

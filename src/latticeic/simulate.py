@@ -460,8 +460,9 @@ def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, 
 
 
 def _simulate_point_to_point(cfg: SimConfig, _plan: None) -> ErrorStats:
-    """Single-user AWGN run: y = x + z, nearest-point decoding restricted to
-    the shaping sphere; best-of-budget lattice selection."""
+    """Single-user AWGN run: y = x + z, nearest-point decoding on the shifted
+    lattice, an error wherever the decode is not the sent codeword (so also
+    wherever it leaves the shaping sphere); best-of-budget lattice selection."""
 
     def run(cand, books):
         cb = books[0]
@@ -472,8 +473,6 @@ def _simulate_point_to_point(cfg: SimConfig, _plan: None) -> ErrorStats:
         y = x + math.sqrt(cfg.sigma2) * z
         dec = _nearest_on_lattice(cb.lattice, cb.shift, y)
         bad = _rows_differ(dec, x)
-        # a nearest point outside the shaping sphere is a decoding failure
-        bad |= np.sum(dec**2, axis=1) > cfg.n * cfg.power + 1e-9
         return _stats(bad, [0], [int(bad.sum())], {"candidate": cand, "layers": _layers_meta(books)})
 
     return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)

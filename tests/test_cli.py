@@ -299,9 +299,10 @@ class TestBadInputs:
         '{"h": [[1, 1e-308, 1], [1e308, 1, 1], [1, 1, 1]]}',
         # the scale factor h23 q / h21 overflows
         '{"h": [[1, 1, 1e300], [1e-300, 1, 1e300], [1, 1e300, 1]]}',
+        '{not json',
     ], ids=["not-an-object", "max-den-inf", "max-den-bool", "max-den-zero", "max-den-float", "tol-nan",
             "tol-negative", "tol-string", "gain-inf", "gain-nan", "gain-bool", "gain-huge-int", "h-not-3x3",
-            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow"])
+            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow", "not-json"])
     def test_bad_matrix_file(self, tmp_path, capsys, text):
         mat = tmp_path / "h.json"
         mat.write_text(text)
@@ -373,13 +374,14 @@ class TestBadInputs:
         '{"scheme": "p2p", "n": 10, "trials": 100, "master_seed": 0, "rates": [2.0], "power": 15}',
         '{"scheme": "very-strong-general", "n": 10, "trials": 100, "master_seed": 0, "rates": [2.5, 0.3, 0.3],'
         ' "powers": [3, 3, 3], "h": [[1, 4, 4], [4, 1, 4], [4, 4, 1]]}',
+        '{not json',
     ], ids=["layered-a-zero", "power-string", "n-float", "trials-bool", "power-nan", "power-inf",
             "rate-nan", "h-string", "missing-rates", "not-an-object", "layered-a-huge", "very-strong-a-huge",
             "p2p-target-overflow", "p2p-sphere-overflow", "p2p-volume-inf", "general-target-overflow",
             "power-huge-int", "very-strong-distance-overflow", "layered-distance-overflow", "layered-ladder-overflow",
             "general-distance-overflow", "p2p-noise-overflow", "general-h-not-3x3",
             "trials-above-cap", "shift-trials-above-cap", "search-budget-above-cap",
-            "p2p-no-candidate", "general-no-candidate"])
+            "p2p-no-candidate", "general-no-candidate", "not-json"])
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
 
@@ -444,8 +446,11 @@ class TestBadInputs:
 
     def test_manifest_without_argv(self, tmp_path, capsys):
         manifest = tmp_path / "bare.manifest.json"
-        manifest.write_text(json.dumps({"command": "dof-curve"}))
-        self.assert_validation_error(["replay", str(manifest)], capsys)
+        # no argv, an argv that is a string, and one that holds a number
+        for doc in ({"command": "dof-curve"}, {"argv": "dof-curve --a2-min 1 --a2-max 2 --out x"},
+                    {"argv": ["dof-curve", "--steps", 7]}):
+            manifest.write_text(json.dumps(doc))
+            self.assert_validation_error(["replay", str(manifest)], capsys)
 
     def test_two_sigma2s(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, dict(
@@ -497,7 +502,7 @@ CLOSED_FORM_PINNED = {
     ),
     "dof-nonsym": (
         ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "12"],
-        "57daf7b55978beb06aa3f49a1c1d989a8daf370c2fc2fc8d06260aa9d9433e41",
+        "8bc5dc5781549752e8dd268b5077c3cec1a40009830bb267d3d0b2b303eec4ab",
     ),
     "align-check-set-1": (["align-check", "--matrix", "set-1", "--powers", "3,3,3"], "9ed354dbe620da939e12f3212ce9d2e4e67e0368d9789dc1ea9bb3be6190228b"),
     "align-check-set-2": (["align-check", "--matrix", "set-2", "--powers", "1,1,1"], "2434bf3d68b4eab4aaaf3b7ea7d9991a859fb5c0bb5f3939a050eefb06613676"),
@@ -562,7 +567,7 @@ def test_numeric_flags_exit_codes_and_finite_output(command, data):
 
 # Whole manifest files, byte for byte, with the run's temporary directory
 # replaced by a fixed placeholder. Covers every command's params (including
-# the derived `warnings`, `dof` and `failures` entries), a simulate config
+# the derived `warnings` and `dof` entries), a simulate config
 # whose master_seed comes from --seed, and the replay of that run.
 MANIFEST_PINNED = {
     "dof-curve": (
@@ -583,7 +588,7 @@ MANIFEST_PINNED = {
     ),
     "dof-nonsym": (
         ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "5"],
-        "4e9dc6e2d9fab4f9fbb964eed86f13ea1222b9cd43015e99bc51007d268dcdfb",
+        "d11171e965dac036c9d3e819328f94022678a6281ec9c5982f94160d33b0edeb",
     ),
     "simulate-seed-flag": (
         ["simulate", "--config", "{tmp}/sim.json", "--seed", "5"],

@@ -1,5 +1,6 @@
-"""Golden replay: seed 0 of every benchmark workload, sent through `cli.main`,
-must write the bytes recorded in perfbench/golden.json."""
+"""Golden replay: seed 0 of every benchmark workload, and every recorded seed
+of closed-form, sent through `cli.main`, must write the bytes recorded in
+perfbench/golden.json."""
 
 import contextlib
 import hashlib
@@ -29,9 +30,9 @@ WORKLOADS = load_workloads()
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
-def test_seed_zero_matches_golden(tmp_path, workload):
-    reqs = WORKLOADS.generate(workload, 0)
+def replay(tmp_path, workload, seed):
+    """The SHA-256 of each output file of one seed's requests."""
+    reqs = WORKLOADS.generate(workload, seed)
     for req in reqs:
         for name, text in req.files.items():
             (tmp_path / name).write_text(text)
@@ -40,4 +41,15 @@ def test_seed_zero_matches_golden(tmp_path, workload):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert latticeic.cli.main([a.replace("{work}", str(tmp_path)) for a in req.argv]) == 0, req.name
         digests.append(hashlib.sha256((tmp_path / req.output).read_bytes()).hexdigest())
-    assert digests == GOLDEN[workload]["0"]
+    return digests
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_seed_zero_matches_golden(tmp_path, workload):
+    assert replay(tmp_path, workload, 0) == GOLDEN[workload]["0"]
+
+
+# the closed-form workload is cheap enough to replay every recorded seed
+@pytest.mark.parametrize("seed", range(1, 30))
+def test_closed_form_seed_matches_golden(tmp_path, seed):
+    assert replay(tmp_path, "closed-form", seed) == GOLDEN["closed-form"][str(seed)]

@@ -507,14 +507,39 @@ class TestDofNonsym:
         with pytest.raises(ValueError):
             dof_nonsym_numeric(2.0, 2.0, 2.0, 0)
 
-    def test_sweep_rows_and_failures(self):
-        rows, failures = nonsym_sweep(4.0, 6.0, 8.0, 3)
-        assert [N for N, _, _ in rows] == [1, 2, 3] and failures == []
+    def test_sweep_rows_and_refusal(self):
+        rows = nonsym_sweep(4.0, 6.0, 8.0, 3)
+        assert [N for N, _, _ in rows] == [1, 2, 3]
         alloc = nonsym_layered_allocation(4.0, 6.0, 8.0, 2)
         assert rows[1] == (2, float(alloc.rates.sum()), float(np.sum(alloc.total_power)))
-        rows, failures = nonsym_sweep(1.0, 1.0, 1.0, 2)
-        assert rows == [] and [N for N, _ in failures] == [1, 2]
-        assert all(isinstance(exc, AllocationError) for _, exc in failures)
+        with pytest.raises(AllocationError):
+            nonsym_sweep(1.0, 1.0, 1.0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        g2=st.lists(st.floats(math.log10(2.0), 4.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+        N_max=st.integers(1, 40),
+    )
+    def test_sweep_equals_one_allocation_per_n(self, g2, N_max):
+        gains = [math.sqrt(x) for x in g2]
+        # the largest gains overflow the deepest layer powers to inf and nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nonsym_sweep(*gains, N_max)
+            want = []
+            for N in range(1, N_max + 1):
+                alloc = nonsym_layered_allocation(*gains, N)
+                want.append((N, float(alloc.rates.sum()), float(np.sum(alloc.total_power))))
+        assert got == want or np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g2=st.lists(st.floats(math.log10(2.0), 300.0).map(lambda e: 10.0**e), min_size=3, max_size=3),
+        N=st.integers(1, 60),
+    )
+    def test_every_finite_power_positive(self, g2, N):
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = nonsym_layered_allocation(*(math.sqrt(x) for x in g2), N).powers
+        assert np.all(P[np.isfinite(P)] > 0)
 
     def test_sweep_dof_cases(self):
         assert sweep_dof([]) == 1.0

@@ -98,26 +98,32 @@ class TestConfigValidation:
             cfg.validate()
 
     # each one passed validation and was refused in the run path, or raised a bare ValueError
-    @pytest.mark.parametrize("cfg", [
-        SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2),
-        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                  powers=[3.0] * 3, h=[[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]),
-        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                  powers=[3.0] * 3, h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]),
-        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                  powers=[3.0] * 3, h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]),
+    @pytest.mark.parametrize("cfg, match", [
+        (SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2), None),
+        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                   powers=[3.0] * 3, h=[[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]), None),
+        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                   powers=[3.0] * 3, h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]), None),
+        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                   powers=[3.0] * 3, h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]), None),
         # the witness (1, 7) is within 1e-9 of the cyclic ratio but misaligns receiver 3 by 5.6e-9
-        SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                  powers=[3.0] * 3, h=MISALIGNED_H),
+        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
+                   powers=[3.0] * 3, h=MISALIGNED_H), None),
         # the shaping-sphere volume per codeword overflows, underflows, or leaves a cell scale of 0
-        SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200),
-        SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e-300),
-        SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[3000], power=3.0),
-        SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[0.25], power=5e-324),
+        (SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200), None),
+        (SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e-300), None),
+        (SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[3000], power=3.0), None),
+        (SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[0.25], power=5e-324), None),
+        # the layer count lies outside 1..3 (refused here before too; match= pins the message)
+        (SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1], a=2.0, N=0),
+         "supports 1 <= N <= 3"),
+        (SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1] * 4, a=2.0, N=4),
+         "supports 1 <= N <= 3"),
     ], ids=["above-stage-ceiling", "no-witness", "no-condition-set", "non-unit-diagonal", "misaligned-witness",
-            "volume-overflow", "volume-underflow", "target-overflow", "cell-scale-underflow"])
-    def test_scheme_rules_refused_by_validate(self, cfg):
-        with pytest.raises(ConfigError):
+            "volume-overflow", "volume-underflow", "target-overflow", "cell-scale-underflow", "layers-zero",
+            "layers-four"])
+    def test_scheme_rules_refused_by_validate(self, cfg, match):
+        with pytest.raises(ConfigError, match=match):
             cfg.validate()
 
     @pytest.mark.parametrize("cfg", [
