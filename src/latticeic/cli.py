@@ -254,9 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_numeric_flags(args)
         if args.command == "replay":

@@ -375,9 +375,10 @@ def sweep_dof(rows) -> float:
     total power between the two deepest feasible layer counts (the
     per-layer-count rate/power ratio approaches the same limit but only as
     O(1/N)); that ratio for a single row; floored at 1 by time sharing.
+    No rows measure nothing, so they are refused.
     """
     if not rows:
-        return 1.0  # time-sharing fallback
+        raise ValueError("sweep_dof needs at least one row")
     if len(rows) == 1:
         _, r, p = rows[0]
         return max(1.0, r / (0.5 * math.log2(p)))

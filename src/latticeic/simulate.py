@@ -379,7 +379,9 @@ def _squared_distances(block: np.ndarray, cands: np.ndarray) -> np.ndarray:
     """(T, m) squared distances of T rows to m candidates, bit for bit those of
     np.sum((block[:, None] - cands[None]) ** 2, axis=2), which numpy 2.x adds in
     sequence under 8 terms and from 8 to 15 as ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7))
-    then in sequence; summed one coordinate at a time in at most four (T, m) buffers."""
+    then in sequence; summed one coordinate at a time in at most four (T, m) buffers.
+    The reference that fixes every decoded row of `_nearest_rows`, and its fallback
+    where the BLAS ranking cannot certify the minimum."""
     n = block.shape[1]
     acc, b, *cd = [np.empty((len(block), len(cands))) for _ in range(2 if n < 8 else 4)]
 
@@ -400,9 +402,44 @@ def _squared_distances(block: np.ndarray, cands: np.ndarray) -> np.ndarray:
     return acc
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
 def _nearest_rows(cands: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Minimum-distance decoding restricted to an explicit candidate set."""
-    return _chunked(lambda block: cands[np.argmin(_squared_distances(block, cands), axis=1)], ys, len(cands))
+    """Minimum-distance decoding restricted to an explicit candidate set: for
+    every row y, bit for bit cands[np.argmin(_squared_distances(ys, cands), axis=1)].
+
+    Candidates are ranked by ||c||^2 - 2 y.c, one BLAS product per block of rows
+    (||y||^2 is the same for every candidate of a row). Certificate, with
+    u = eps/2 and R = ||y|| + max ||c||: the ranked value is within
+    (n+1) u R^2 of d - ||y||^2 in any summation order, and `_squared_distances`
+    within (n+2) u d of the exact distance d <= R^2, plus at most `tiny` (the
+    smallest normal float) per product that underflows. So where the runner-up
+    lies more than twice their total above the minimum, both pick the same,
+    unique candidate. Every row whose gap is at most 8 (n+4) (eps R^2 + tiny),
+    exact ties included, is decoded again by `_squared_distances`.
+    `SimConfig.validate` keeps R^2 below 1e300."""
+    n = cands.shape[1]
+    cc = np.einsum("ij,ij->i", cands, cands)
+    neg2c = -2.0 * cands
+    c_max = math.sqrt(cc.max())
+
+    def decode(block):
+        d = block @ neg2c.T  # -2 y.c, in place below: one (rows, m) buffer
+        d += cc
+        rows = np.arange(len(block))
+        idx = np.argmin(d, axis=1)
+        low = d[rows, idx]
+        d[rows, idx] = np.inf
+        gap = d.min(axis=1) - low  # inf for a single candidate
+        reach = np.sqrt(np.einsum("ij,ij->i", block, block)) + c_max
+        near = np.flatnonzero(gap <= 8 * (n + 4) * (_EPS * reach * reach + _TINY))
+        if near.size:
+            idx[near] = np.argmin(_squared_distances(block[near], cands), axis=1)
+        return cands[idx]
+
+    return _chunked(decode, ys, len(cands))
 
 
 def _nearest_on_lattice(lat: Lattice, shift: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -417,8 +454,19 @@ def _pair_sums(words: np.ndarray, scale: float) -> np.ndarray | None:
     if m * (m + 1) // 2 > _MAX_RESTRICTED_ROWS:
         return None
     iu = np.triu_indices(m)
-    sums = words[iu[0]] + words[iu[1]]
-    return scale * np.unique(np.round(sums, 9), axis=0)
+    return scale * _distinct_rows(words[iu[0]] + words[iu[1]])
+
+
+def _distinct_rows(x: np.ndarray) -> np.ndarray:
+    """The distinct rows of `x` rounded to 9 places, in lexicographic order:
+    the rows of np.unique(np.round(x, 9), axis=0), with every zero +0.0 (which
+    signed zero np.unique keeps follows its unstable sort)."""
+    r = np.round(x, 9)
+    r += 0.0  # -0.0 + 0.0 is +0.0
+    r = r[np.lexsort(r.T[::-1])]
+    keep = np.ones(len(r), dtype=bool)
+    np.any(r[1:] != r[:-1], axis=1, out=keep[1:])
+    return r[keep]
 
 
 def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -547,7 +595,7 @@ def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
         sums = None
         if len(books[1]) * len(books[2]) <= _MAX_RESTRICTED_ROWS:
             grid = h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
-            sums = np.unique(np.round(grid.reshape(-1, n), 9), axis=0)
+            sums = _distinct_rows(grid.reshape(-1, n))
         # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
         layer = (books[0].words, xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums,
                  scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift)

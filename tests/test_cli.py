@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latticeic.cli
 from latticeic.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, MAX_N_MAX, main
 from latticeic.rates import dof_symmetric
 from latticeic.simulate import MAX_SEARCH_BUDGET, MAX_SHIFT_TRIALS, MAX_TRIALS, ConfigError, SimConfig
@@ -513,8 +517,12 @@ CLOSED_FORM_PINNED = {
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_PINNED))
 def test_closed_form_outputs_pinned(name, tmp_path, capsys):
-    argv, digest = CLOSED_FORM_PINNED[name]
-    argv = list(argv)
+    assert closed_form_digest(name, tmp_path) == CLOSED_FORM_PINNED[name][1]
+
+
+def closed_form_digest(name, tmp_path):
+    """The digest of a pinned closed-form command's output and params."""
+    argv = list(CLOSED_FORM_PINNED[name][0])
     if "--matrix" in argv:
         i = argv.index("--matrix")
         path = tmp_path / "h.json"
@@ -525,7 +533,64 @@ def test_closed_form_outputs_pinned(name, tmp_path, capsys):
     params = json.loads((tmp_path / "out.manifest.json").read_text())["params"]
     params.pop("matrix_file", None)
     blob = out.read_bytes() + json.dumps(params, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == digest
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestOneParser:
+    """`main` builds its parser once per process and reuses it for every call."""
+
+    def test_consecutive_commands_match_pins(self, tmp_path, capsys):
+        for name in ("dof-curve-linear", "dof-nonsym", "align-check-set-2", "compare-weak-threshold"):
+            (tmp_path / name).mkdir()
+            assert closed_form_digest(name, tmp_path / name) == CLOSED_FORM_PINNED[name][1]
+
+    def test_built_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        real = latticeic.cli.build_parser
+        monkeypatch.setattr(latticeic.cli, "build_parser", lambda: built.append(1) or real())
+        latticeic.cli._parser.cache_clear()
+        try:
+            out = str(tmp_path / "out")
+            assert main(["dof-curve", "--a2-min", "1", "--a2-max", "2", "--steps", "3", "--out", out]) == EXIT_OK
+            assert main(["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "3", "--out", out]) == EXIT_OK
+            assert main(["replay", out + ".manifest.json"]) == EXIT_OK
+        finally:
+            latticeic.cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_not_built_at_import(self):
+        code = "import latticeic.cli as c; print(c._parser.cache_info().currsize)"
+        assert fresh_process(["-c", code]) == (0, "0\n", "")
+
+    def test_calls_behave_as_in_fresh_processes(self, monkeypatch, tmp_path, capsys):
+        # a bad flag, --version, a good call and its replay, in one process and each in its own
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+        good = ["dof-curve", "--a2-min", "0.05", "--a2-max", "12", "--steps", "25", "--out"]
+        calls = [["dof-curve", "--a2-min", "1", "--a2-max", "2", "--bogus", "--out", "x"], ["--version"]]
+        for argv in calls:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            seen = capsys.readouterr()
+            assert (rc, seen.out, seen.err) == fresh_process(["-m", "latticeic.cli", *argv])
+        for where in ("here", "fresh"):
+            (tmp_path / where).mkdir()
+        assert main(good + [str(tmp_path / "here" / "out")]) == EXIT_OK
+        assert fresh_process(["-m", "latticeic.cli", *good, str(tmp_path / "fresh" / "out")]) == (0, "", "")
+        first = (tmp_path / "here" / "out").read_bytes()
+        assert first == (tmp_path / "fresh" / "out").read_bytes()
+        (tmp_path / "here" / "out").unlink()
+        assert main(["replay", str(tmp_path / "here" / "out.manifest.json")]) == EXIT_OK
+        assert (tmp_path / "here" / "out").read_bytes() == first
+
+
+def fresh_process(args):
+    """(exit code, stdout, stderr) of a new interpreter run with `args`."""
+    src = str(Path(latticeic.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # Any float, including NaN, infinities, negatives and subnormals, mixed with

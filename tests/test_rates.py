@@ -542,7 +542,8 @@ class TestDofNonsym:
         assert np.all(P[np.isfinite(P)] > 0)
 
     def test_sweep_dof_cases(self):
-        assert sweep_dof([]) == 1.0
+        with pytest.raises(ValueError, match="at least one row"):
+            sweep_dof([])
         assert sweep_dof([(1, 3.0, 63.0)]) == 3.0 / (0.5 * math.log2(63.0))
         assert sweep_dof([(1, 0.1, 4.0), (2, 0.2, 16.0)]) == 1.0
         assert sweep_dof([(1, 1.0, 4.0), (2, 4.0, 16.0)]) == 3.0

@@ -7,14 +7,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latticeic.simulate
 from latticeic.channel import ChannelMatrix3, symmetric_channel
 from latticeic.lattice import build_codebook, construction_a, is_lattice_point, make_linear_code, scale_lattice
 from latticeic.simulate import (
     MAX_SQUARED_DISTANCE,
     ConfigError,
     SimConfig,
+    _distinct_rows,
     _nearest_rows,
+    _pair_sums,
     _squared_distances,
     align_interference_lattices,
     run_simulation,
@@ -314,6 +319,97 @@ class TestRestrictedDecoder:
         cands = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
         ys = np.array([[0.9, 0.1], [0.5, 0.5], [0.0, 0.0], [-2.0, 0.0]])
         assert np.array_equal(_nearest_rows(cands, ys), cands[[0, 0, 0, 3]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["normal", "duplicates", "equidistant", "one-ulp"]),
+    )
+    def test_certified_kernel_equals_reference(self, n, seed, shape):
+        # per-coordinate scales from 1e-3 up to where n * (2 * scale)^2 nears MAX_SQUARED_DISTANCE
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, math.log10(math.sqrt(MAX_SQUARED_DISTANCE / (4 * n))), size=n)
+        # powers of two keep the integer-grid shapes exact, so their ties and gaps are the intended ones
+        grid = 2.0 ** np.round(np.log2(scale))
+        m, T = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        if shape == "normal":
+            cands, ys = rng.normal(size=(m, n)) * scale, rng.normal(size=(T, n)) * scale
+        elif shape == "duplicates":
+            cands = rng.normal(size=(m, n)) * scale
+            cands = cands[rng.integers(0, m, size=m + 5)]
+            ys = np.concatenate([cands, rng.normal(size=(T, n)) * scale]) + rng.normal(size=(m + 5 + T, n)) * scale * 1e-3
+        elif shape == "equidistant":
+            # midpoints of two integer-grid candidates tie exactly (same terms, same order), and
+            # half-grid points tie between several
+            cands = rng.integers(-4, 5, size=(m, n)) * grid
+            j, k = rng.integers(0, m, size=(2, T))
+            ys = np.concatenate([(cands[j] + cands[k]) / 2, rng.integers(-8, 9, size=(T, n)) * grid / 2])
+        else:
+            # each candidate next to a copy one ulp away in one coordinate
+            cands = rng.normal(size=(m, n)) * scale
+            i = rng.integers(0, n, size=m)
+            twins = cands.copy()
+            twins[np.arange(m), i] = np.nextafter(cands[np.arange(m), i], rng.choice([-np.inf, np.inf], size=m))
+            cands = np.concatenate([cands, twins])[rng.permutation(2 * m)]
+            ys = cands[rng.integers(0, 2 * m, size=T)] + rng.normal(size=(T, n)) * scale * 10.0 ** rng.uniform(-12, 0)
+        want = cands[np.argmin(_squared_distances(ys, cands), axis=1)]
+        assert np.array_equal(_nearest_rows(cands, ys).view(np.int64), want.view(np.int64))
+
+    def test_exact_tie_takes_fallback(self, monkeypatch):
+        # row 0 is equidistant from both candidates, row 1 is not
+        sent = []
+
+        def spy(block, cands):
+            sent.append(block.copy())
+            return _squared_distances(block, cands)
+
+        monkeypatch.setattr(latticeic.simulate, "_squared_distances", spy)
+        cands = np.array([[0.0, 0.0], [1.0, 0.0]])
+        ys = np.array([[0.5, 0.3], [0.9, 0.0]])
+        assert np.array_equal(_nearest_rows(cands, ys), cands[[0, 1]])
+        assert len(sent) == 1 and np.array_equal(sent[0], ys[:1])
+
+
+class TestDistinctRows:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 44), seed=st.integers(0, 2**32 - 1))
+    def test_equals_np_unique(self, n, m, seed):
+        # integer-grid words with many coinciding pair sums; the 1e-12 jitters round to -0.0 and 0.0
+        rng = np.random.default_rng(seed)
+        words = rng.integers(-2, 3, size=(m, n)) * rng.choice([1.0, 0.5, 0.75])
+        words += rng.choice([0.0, 1e-12, -1e-12], size=words.shape)
+        iu = np.triu_indices(m)
+        x = words[iu[0]] + words[iu[1]]
+        got = _distinct_rows(x)
+        # bit for bit np.unique's rows once its signed zeros are made +0.0, which only its unstable sort picks
+        want = np.unique(np.round(x, 9) + 0.0, axis=0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got, np.unique(np.round(x, 9), axis=0))
+
+    def test_signed_zeros_merge_into_positive_zero(self):
+        x = np.array([[-1e-12, 1.0], [1e-12, 1.0], [0.0, 1.0], [-0.0, -2.0]])
+        got = _distinct_rows(x)
+        assert np.array_equal(got, [[0.0, -2.0], [0.0, 1.0]])
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_both_sumsets_use_it(self, monkeypatch):
+        calls = []
+
+        def spy(x):
+            calls.append(x.shape)
+            return _distinct_rows(x)
+
+        monkeypatch.setattr(latticeic.simulate, "_distinct_rows", spy)
+        words = np.arange(12.0).reshape(4, 3)
+        _pair_sums(words, 2.0)
+        assert calls == [(10, 3)]  # the 4 * 5 / 2 unordered pairs with repetition
+        calls.clear()
+        cfg = SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=2, rates=[0.3] * 3,
+                        powers=[3.0] * 3, h=[[1, 4, 4], [4, 1, 4], [4, 4, 1]], search_budget=1)
+        stats = run_simulation(cfg)
+        # one grid sumset of user 2's and user 3's words per candidate run
+        assert len(calls) == stats.meta["candidates_run"] == 1 and calls[0][1] == 4
 
 
 class TestAlignment:
