@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and AllocationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, AllocationError) else EXIT_VALIDATION
-    except (RuntimeError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # the FloatingPointError of `_csv` on a non-finite value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -34,7 +34,6 @@ class LayeredAllocation:
     regime: str  # "strong" | "weak" | "nonsymmetric"
     powers: np.ndarray
     rates: np.ndarray
-    total_power: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,6 @@ def layered_allocation_symmetric(a2: float, N: int) -> LayeredAllocation:
         regime=regime,
         powers=powers,
         rates=np.full(N, 0.5 * math.log2(gain)),
-        total_power=float(powers.sum()),
     )
 
 
@@ -349,7 +347,6 @@ def nonsym_layered_allocation(
         regime="nonsymmetric",
         powers=P,
         rates=0.5 * np.log2(P / s_msg),
-        total_power=P.sum(axis=1),
     )
 
 

@@ -246,15 +246,18 @@ class ErrorStats:
         return json.dumps(doc)
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+_WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = errors / trials
-    z2 = z * z
+    z2 = _WILSON_Z * _WILSON_Z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = _WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -376,30 +379,11 @@ _MAX_RESTRICTED_ROWS = 300_000
 
 
 def _squared_distances(block: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """(T, m) squared distances of T rows to m candidates, bit for bit those of
-    np.sum((block[:, None] - cands[None]) ** 2, axis=2), which numpy 2.x adds in
-    sequence under 8 terms and from 8 to 15 as ((d0+d1)+(d2+d3))+((d4+d5)+(d6+d7))
-    then in sequence; summed one coordinate at a time in at most four (T, m) buffers.
-    The reference that fixes every decoded row of `_nearest_rows`, and its fallback
-    where the BLAS ranking cannot certify the minimum."""
-    n = block.shape[1]
-    acc, b, *cd = [np.empty((len(block), len(cands))) for _ in range(2 if n < 8 else 4)]
-
-    def sq(i, out):  # d_i of every (row, candidate) pair, into `out`
-        return np.square(np.subtract(block[:, i, None], cands[:, i], out=out), out=out)
-
-    def pair(i, out, tmp):  # d_i + d_(i+1), into `out`
-        return np.add(sq(i, out), sq(i + 1, tmp), out=out)
-
-    if n < 8:
-        sq(0, acc)
-    else:
-        c, d = cd
-        np.add(pair(0, acc, c), pair(2, b, c), out=acc)
-        acc += np.add(pair(4, b, c), pair(6, c, d), out=b)
-    for i in range(1 if n < 8 else 8, n):
-        acc += sq(i, b)
-    return acc
+    """(T, m) squared distances of T rows to m candidates: the reference that
+    fixes every decoded row of `_nearest_rows`, and its fallback where the BLAS
+    ranking cannot certify the minimum. `_chunked` bounds the (T, m, n) cube."""
+    d = block[:, None] - cands[None]
+    return np.sum(np.square(d, out=d), axis=2)
 
 
 _EPS = np.finfo(float).eps
@@ -418,7 +402,8 @@ def _nearest_rows(cands: np.ndarray, ys: np.ndarray) -> np.ndarray:
     smallest normal float) per product that underflows. So where the runner-up
     lies more than twice their total above the minimum, both pick the same,
     unique candidate. Every row whose gap is at most 8 (n+4) (eps R^2 + tiny),
-    exact ties included, is decoded again by `_squared_distances`.
+    exact ties included, is decoded again by `_squared_distances`, whose
+    (rows, m, n) cube stays within the block's `_DECODE_BATCH_ELEMS` budget.
     `SimConfig.validate` keeps R^2 below 1e300."""
     n = cands.shape[1]
     cc = np.einsum("ij,ij->i", cands, cands)

@@ -81,7 +81,7 @@ def test_criterion_3_piecewise_rate_consistency():
     failures = []
     for a2 in (2.5, 3.0, 10.0, 0.25, 0.1):
         for N in range(1, 11):
-            total = layered_allocation_symmetric(a2, N).total_power
+            total = float(layered_allocation_symmetric(a2, N).powers.sum())
             if abs(threshold_power(a2, N) - total) > 1e-10 * max(total, 1.0):
                 failures.append(f"threshold mismatch at a2={a2}, N={N}")
     if abs(sym_rate_lattice(3.0, 32.0).per_user_rates[0] - 1.0) > 1e-12:

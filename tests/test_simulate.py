@@ -291,18 +291,6 @@ class TestSchemes:
 
 
 class TestRestrictedDecoder:
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_squared_distances_equal_numpy_sum(self, n):
-        # the summation order must stay numpy's, or the decoded rows (and golden bytes) can move
-        rng = np.random.default_rng(n)
-        for _ in range(100):
-            # per-coordinate scales up to the regime where n * (2 * scale)^2 nears MAX_SQUARED_DISTANCE
-            scale = 10.0 ** rng.uniform(-3, math.log10(math.sqrt(MAX_SQUARED_DISTANCE / (4 * n))), size=n)
-            ys = rng.normal(size=(int(rng.integers(1, 40)), n)) * scale
-            cands = rng.normal(size=(int(rng.integers(1, 60)), n)) * scale
-            want = np.sum((ys[:, None, :] - cands[None]) ** 2, axis=2)
-            assert np.array_equal(_squared_distances(ys, cands), want)
-
     def test_memory_peak(self):
         # tracemalloc sees numpy's buffers: about 24 MB here, against 60 MB for a (T, m, n) cube
         rng = np.random.default_rng(0)
@@ -314,6 +302,22 @@ class TestRestrictedDecoder:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_all_tied_block_stays_chunked(self):
+        # every candidate twice, so every row ties and the whole block is decoded by the fallback;
+        # tracemalloc sees about 60 MB here, against 128 MB for one unchunked (T, m, n) cube
+        rng = np.random.default_rng(0)
+        cands, ys = np.repeat(rng.normal(size=(2000, 8)), 2, axis=0), rng.normal(size=(500, 8))
+        tracemalloc.start()
+        try:
+            got = _nearest_rows(cands, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+        # the reference in blocks of rows, which decode independently
+        want = np.concatenate([cands[np.argmin(_squared_distances(b, cands), axis=1)] for b in np.split(ys, 5)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_first_nearest_candidate_wins(self):
         cands = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
