@@ -39,12 +39,11 @@ class LayeredAllocation:
 @dataclass(frozen=True)
 class RateReport:
     per_user_rates: tuple[float, float, float]
-    binding_constraint: str
-    scheme: str  # "lattice-layered" | "HK" | "very-strong"
+    binding_constraint: str  # names the scheme: case-b, c, e, f lattice-layered; case-d, band-fallback HK; else very strong
 
 
-def _report(rates, scheme, binding) -> RateReport:
-    return RateReport(tuple(float(x) for x in rates), binding, scheme)
+def _report(rates, binding) -> RateReport:
+    return RateReport(tuple(float(x) for x in rates), binding)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
 
     if WEAK_MAX_A2 < a2 < STRONG_MIN_A2:
         r = hk_oracle(P, 1.0, a)
-        return _report([r] * 3, "HK", "band-fallback")
+        return _report([r] * 3, "band-fallback")
 
     regime, base, _, gain = _ladder(a2)
     stage = 0.5 * math.log2(gain)
@@ -226,22 +225,22 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
     PaN = threshold_power(a2, N)
     if abs(PaN - P) <= eq_rtol * max(P, 1.0) and N >= 1:
         case = "case-c" if regime == "strong" else "case-f"
-        return _report([N * stage] * 3, "lattice-layered", case)
+        return _report([N * stage] * 3, case)
 
     if regime == "strong":
         if P <= base:
             r = max(0.0, 0.5 * math.log2(P))
-            return _report([r] * 3, "very-strong", "case-a")
+            return _report([r] * 3, "case-a")
         # P strictly between thresholds N and N+1
         top = 0.5 * math.log2(
             1.0 + (2.0 * a2 + 1.0) * (P - PaN) / (1.0 + (2.0 * a2 + 1.0) * PaN)
         )
-        return _report([N * stage + top] * 3, "lattice-layered", "case-b")
+        return _report([N * stage + top] * 3, "case-b")
 
     # weak regime
     if N == 0:
         r = hk_oracle(P, 1.0, a)
-        return _report([r] * 3, "HK", "case-d")
+        return _report([r] * 3, "case-d")
     best = -math.inf
     for i in (N - 1, N):
         Pa_i = threshold_power(a2, i)
@@ -249,7 +248,7 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
         # unit receiver noise added to the undecoded lower-layer interference
         r_i = i * stage + hk_oracle(residual, 1.0 + (2.0 * a2 + 1.0) * Pa_i, a)
         best = max(best, r_i)
-    return _report([best] * 3, "lattice-layered", "case-e")
+    return _report([best] * 3, "case-e")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def very_strong_symmetric(a2: float, P: float, sigma2: float = 1.0) -> RateRepor
     if a2 < P / sigma2 + 1.0 - 1e-12:
         return None
     r = max(0.0, 0.5 * math.log2(P / sigma2))
-    return _report([r] * 3, "very-strong", "message-decoding")
+    return _report([r] * 3, "message-decoding")
 
 
 # (p^2-link, q^2-link) of each very-strong condition set, as (receiver,
@@ -302,7 +301,7 @@ def very_strong_general(
     for idx, ok in enumerate(conds, start=1):
         if ok:
             rates = [max(0.0, 0.5 * math.log2(P[i] / sigma2[i])) for i in range(3)]
-            return _report(rates, "very-strong", f"condition-set-{idx}"), idx
+            return _report(rates, f"condition-set-{idx}"), idx
     return None
 
 

@@ -144,48 +144,28 @@ class SimConfig:
             if self.a is None:
                 raise ConfigError(f"{self.scheme} requires gain a")
             a2 = squared_gain("config field 'a'", self.a)
-        # the powers of user 1's layers (shared by every user of a symmetric scheme), or of each user
-        if self.scheme == "layered-sym":
+        # Each scheme's powers: user 1's layers (shared by every user of a symmetric scheme), or each user's.
+        # Noiseless hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
+        if self.scheme == "p2p":
+            powers = [self.power]
+            self._check_layers(powers, [1.0], [powers], self.sigma2)  # no interferers
+            plan = None
+        elif self.scheme == "very-strong-sym":
+            powers = [self.power]
+            self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
+            if very_strong_symmetric(a2, self.power, max(self.sigma2, 1.0)) is None:
+                raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
+            plan = powers, _STRONG_ORDER
+        elif self.scheme == "layered-sym":
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
-            try:  # a ladder power that overflows to inf is refused by the distance bound below
+            try:  # a ladder power that overflows to inf is refused by the distance bound
                 with np.errstate(over="ignore"):
                     alloc = layered_allocation_symmetric(a2, self.N)
             except AllocationError as exc:
                 raise ConfigError(f"layered-sym: {exc}") from exc
             powers = alloc.powers.tolist()
-        elif self.scheme == "very-strong-general":
-            if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
-                raise ConfigError("very-strong-general requires 3 positive powers")
-            try:  # h: 3x3, unit diagonal, a witness that aligns every receiver
-                ch = ChannelMatrix3(self.h, h1_witness=class_h1_membership(self.h))
-                factors = [abs(f) for f in alignment_factors(ch)]
-            except ValueError as exc:
-                raise ConfigError(f"very-strong-general: {exc}") from exc
-            powers = self.powers
-        else:
-            powers = [self.power]
-        # one rate per layer (layered-sym) or per user (very-strong-general)
-        count = {"layered-sym": self.N, "very-strong-general": 3}.get(self.scheme, 1)
-        if len(self.rates) != count:
-            raise ConfigError(f"{self.scheme} needs {count} rates, got {len(self.rates)}")
-        noise = self.sigma2s if self.scheme == "very-strong-general" and self.sigma2s else [self.sigma2] * 3
-        # receiver 1's gains and each user's layer powers; p2p has no interferers
-        if self.scheme == "very-strong-general":
-            gains, layers = self.h[0], [[P] for P in powers]
-        else:
-            gains, layers = ([1.0] if self.scheme == "p2p" else [1.0, self.a, self.a]), [powers] * 3
-        if not (bound := _squared_distance_bound(self.n, gains, layers, noise[0])) <= MAX_SQUARED_DISTANCE:
-            raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
-        # Noiseless hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
-        floors = [max(s, 1.0) for s in noise]
-        if self.scheme == "p2p":
-            plan = None
-        elif self.scheme == "very-strong-sym":
-            if very_strong_symmetric(a2, self.power, floors[0]) is None:
-                raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
-            plan = powers, _STRONG_ORDER
-        elif self.scheme == "layered-sym":
+            self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
             if alloc.regime == "strong":
                 ceil, order = np.minimum(*stage_constraints_strong(a2, powers)), _STRONG_ORDER
             else:
@@ -195,7 +175,18 @@ class SimConfig:
                     raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}")
             plan = powers, order
         else:
-            check = very_strong_general(ch, self.powers, floors)
+            if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
+                raise ConfigError("very-strong-general requires 3 positive powers")
+            if self.h is None or len(self.h) != 3 or any(len(row) != 3 for row in self.h):
+                raise ConfigError(f"very-strong-general requires h, a 3x3 gain matrix, got {self.h!r}")
+            try:  # unit diagonal, a witness that aligns every receiver
+                ch = ChannelMatrix3(self.h, h1_witness=class_h1_membership(self.h))
+                factors = [abs(f) for f in alignment_factors(ch)]
+            except ValueError as exc:
+                raise ConfigError(f"very-strong-general: {exc}") from exc
+            powers, noise = self.powers, self.sigma2s or [self.sigma2] * 3
+            self._check_layers(powers, self.h[0], [[P] for P in powers], noise[0])
+            check = very_strong_general(ch, powers, [max(s, 1.0) for s in noise])
             if check is None:
                 raise ConfigError("no very-strong condition set holds for this config")
             plan = ch, noise, check[1], factors
@@ -207,6 +198,14 @@ class SimConfig:
                     f"n={self.n}, rate={R!r}, power={P!r}: the shaping-sphere volume per codeword leaves the float range"
                 )
         return plan
+
+    def _check_layers(self, powers: list[float], gains, layers, noise: float):
+        """Refuse rates other than one per entry of `powers`, and decoder distances that could pass
+        MAX_SQUARED_DISTANCE at receiver 1, with its `gains` on each user's `layers` and its `noise`."""
+        if len(self.rates) != len(powers):
+            raise ConfigError(f"{self.scheme} needs {len(powers)} rates, got {len(self.rates)}")
+        if not (bound := _squared_distance_bound(self.n, gains, layers, noise)) <= MAX_SQUARED_DISTANCE:
+            raise ConfigError(f"decoder squared distances could reach {bound:.3g}, above {MAX_SQUARED_DISTANCE:g}")
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -569,8 +568,8 @@ def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
         p_mod, k = pairs[cand % len(pairs)]
         code = make_linear_code(n, k, p_mod, keyed_stream(cfg.master_seed, _CODE, cand, 0))
         gammas = [_cell_scale(n, P, R, p_mod, k) / f for P, R, f in zip(cfg.powers, cfg.rates, factors)]
-        lats = align_interference_lattices(ch, Lattice(code, 0.98 * min(gammas)))
-        return _codebooks(cfg, cand, lats, cfg.powers, cfg.rates)
+        base = Lattice(code, 0.98 * min(gammas))
+        return _codebooks(cfg, cand, [scale_lattice(base, f) for f in factors], cfg.powers, cfg.rates)
 
     def run(cand, books):
         rng_msg = keyed_stream(cfg.master_seed, _MSG, cand)

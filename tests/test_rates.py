@@ -153,7 +153,6 @@ class TestSymRateLattice:
         r = sym_rate_lattice(3.0, 32.0)
         assert r.per_user_rates[0] == pytest.approx(1.0, abs=1e-12)
         assert r.binding_constraint == "case-c"
-        assert r.scheme == "lattice-layered"
 
     def test_below_first_threshold(self):
         r = sym_rate_lattice(3.0, 1.0)
@@ -169,7 +168,6 @@ class TestSymRateLattice:
         P = 3.0
         r = sym_rate_lattice(0.25, P)
         assert r.binding_constraint == "case-d"
-        assert r.scheme == "HK"
         assert r.per_user_rates[0] == pytest.approx(hk_sym_rate(P, 1.0, 0.5))
 
     def test_weak_between_thresholds(self):
@@ -190,7 +188,7 @@ class TestSymRateLattice:
 
     def test_band_falls_back_to_baseline(self):
         r = sym_rate_lattice(1.0, 5.0)
-        assert r.scheme == "HK"
+        assert r.binding_constraint == "band-fallback"
         assert r.per_user_rates[0] == pytest.approx(hk_sym_rate(5.0, 1.0, 1.0))
 
     def test_right_limit_continuity_at_thresholds(self):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,15 @@ def vs_config(**kw):
     return SimConfig(**base)
 
 
+def vsg_config(**kw):
+    base = dict(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3, powers=[3.0] * 3,
+                h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]])
+    base.update(kw)
+    return SimConfig(**base)
+
+
+VOLUME_RANGE = "the shaping-sphere volume per codeword leaves the float range"
+
 # the cyclic ratio is 1/7 + 8e-10, so class_h1_membership's 1e-9 tolerance gives the witness (1, 7)
 MISALIGNED_H = [[1, 15 * (1 / 7 + 8e-10), 20], [15, 1, 20], [20, 20, 1]]
 
@@ -66,6 +76,12 @@ class TestWilsonInterval:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+    # center - half rounds to 3.5e-18, 1.7e-18 and 8.7e-19 instead of 0; clamping it moves every zero-error
+    # golden digest, so the fix waits for a change that re-records them
+    @pytest.mark.xfail(reason="known rounding defect: the zero-error lower bound is a few 1e-18, not 0")
+    def test_zero_errors_lower_bound_exactly_zero(self):
+        assert [wilson_interval(0, T)[0] for T in (100, 200, 300)] == [0.0] * 3
 
 
 class TestConfigValidation:
@@ -102,33 +118,71 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
-    # each one passed validation and was refused in the run path, or raised a bare ValueError
+    # one case per refusal, each pinned to validate's whole message
     @pytest.mark.parametrize("cfg, match", [
-        (SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2), None),
-        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                   powers=[3.0] * 3, h=[[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]), None),
-        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                   powers=[3.0] * 3, h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]), None),
-        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                   powers=[3.0] * 3, h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]), None),
+        pytest.param(SimConfig(scheme="layered-sym", n=6, trials=100, master_seed=0, rates=[2.5, 2.5], a=5.0, N=2),
+                     "layer 1 rate 2.5 exceeds its stage ceiling 2.2925", id="above-stage-ceiling"),
+        pytest.param(vsg_config(h=[[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]]),
+                     "very-strong-general: channel has no rational-ratio witness", id="no-witness"),
+        pytest.param(vsg_config(h=[[1, 1.5, 1.5], [1.5, 1, 1.5], [1.5, 1.5, 1]]),
+                     "no very-strong condition set holds for this config", id="no-condition-set"),
+        pytest.param(vsg_config(h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]),
+                     "very-strong-general: direct gains must be normalized to 1", id="non-unit-diagonal"),
         # the witness (1, 7) is within 1e-9 of the cyclic ratio but misaligns receiver 3 by 5.6e-9
-        (SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3,
-                   powers=[3.0] * 3, h=MISALIGNED_H), None),
+        pytest.param(vsg_config(h=MISALIGNED_H), "very-strong-general: witness (1, 7) does not align receiver 3: "
+                     "|h31 f1| = 186.66666666666669, |h32 f2| = 186.66666562133332", id="misaligned-witness"),
         # the shaping-sphere volume per codeword overflows, underflows, or leaves a cell scale of 0
-        (SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200), None),
-        (SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e-300), None),
-        (SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[3000], power=3.0), None),
-        (SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[0.25], power=5e-324), None),
-        # the layer count lies outside 1..3 (refused here before too; match= pins the message)
-        (SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1], a=2.0, N=0),
-         "supports 1 <= N <= 3"),
-        (SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1] * 4, a=2.0, N=4),
-         "supports 1 <= N <= 3"),
-    ], ids=["above-stage-ceiling", "no-witness", "no-condition-set", "non-unit-diagonal", "misaligned-witness",
-            "volume-overflow", "volume-underflow", "target-overflow", "cell-scale-underflow", "layers-zero",
-            "layers-four"])
+        pytest.param(SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200),
+                     f"n=10, rate=0.5, power=1e+200: {VOLUME_RANGE}", id="volume-overflow"),
+        pytest.param(SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e-300),
+                     f"n=10, rate=0.5, power=1e-300: {VOLUME_RANGE}", id="volume-underflow"),
+        pytest.param(SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[3000], power=3.0),
+                     f"n=2, rate=3000, power=3.0: {VOLUME_RANGE}", id="target-overflow"),
+        pytest.param(SimConfig(scheme="p2p", n=2, trials=100, master_seed=0, rates=[0.25], power=5e-324),
+                     f"n=2, rate=0.25, power=5e-324: {VOLUME_RANGE}", id="cell-scale-underflow"),
+        # the layer count lies outside 1..3
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1], a=2.0, N=0),
+                     "layered-sym supports 1 <= N <= 3", id="layers-zero"),
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.1] * 4, a=2.0, N=4),
+                     "layered-sym supports 1 <= N <= 3", id="layers-four"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5]),
+                     "p2p requires a positive power", id="p2p-no-power"),
+        pytest.param(vs_config(power=None), "very-strong-sym requires a positive power", id="very-strong-sym-no-power"),
+        pytest.param(vs_config(a=None), "very-strong-sym requires gain a", id="very-strong-sym-no-gain"),
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.2]),
+                     "layered-sym requires gain a", id="layered-sym-no-gain"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5, 0.5], power=3.0),
+                     "p2p needs 1 rates, got 2", id="p2p-rate-count"),
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.2], a=2.0, N=2),
+                     "layered-sym needs 2 rates, got 1", id="layered-sym-rate-count"),
+        pytest.param(vsg_config(rates=[0.2] * 2), "very-strong-general needs 3 rates, got 2",
+                     id="very-strong-general-rate-count"),
+        pytest.param(vsg_config(powers=[3.0] * 2), "very-strong-general requires 3 positive powers",
+                     id="very-strong-general-two-powers"),
+        # a^2 = 4 < P + 1 at P = 4
+        pytest.param(vs_config(a=2.0, power=4.0), "very-strong condition a^2 >= P/sigma2 + 1 violated",
+                     id="very-strong-condition"),
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.9], a=0.5, N=1),
+                     "layer 1 rate 0.9 exceeds its stage ceiling 0.2925", id="weak-stage-ceiling"),
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.2], a=1.0, N=1),
+                     "layered-sym: no layered allocation for a2=1.0; supported regimes are a2 >= 2 and 0 < a2 <= 1/3",
+                     id="layered-sym-band"),
+        # the ladder powers overflow to inf; a power or powers near the float maximum
+        pytest.param(SimConfig(scheme="layered-sym", n=4, trials=100, master_seed=0, rates=[0.2] * 3, a=1e40, N=3),
+                     "decoder squared distances could reach inf, above 1e+300", id="layered-sym-distance"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=1e299),
+                     "decoder squared distances could reach 1.44e+301, above 1e+300", id="p2p-distance"),
+        pytest.param(vsg_config(powers=[1e299] * 3), "decoder squared distances could reach 5.2e+303, above 1e+300",
+                     id="very-strong-general-distance"),
+        # h is missing or ragged
+        pytest.param(vsg_config(h=None), "very-strong-general requires h, a 3x3 gain matrix, got None",
+                     id="no-gain-matrix"),
+        pytest.param(vsg_config(h=[[1, 9, 9], [9, 1, 9], [9, 9]]),
+                     "very-strong-general requires h, a 3x3 gain matrix, got [[1, 9, 9], [9, 1, 9], [9, 9]]",
+                     id="ragged-gain-matrix"),
+    ])
     def test_scheme_rules_refused_by_validate(self, cfg, match):
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
             cfg.validate()
 
     @pytest.mark.parametrize("cfg", [
