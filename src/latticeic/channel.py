@@ -102,9 +102,9 @@ def channel_from_json(text: str) -> ChannelMatrix3:
 
 
 def keyed_stream(master_seed, *key: int) -> np.random.Generator:
-    """Counter-based random stream for (master_seed, *key), reproducible and
-    mutually independent across keys for a fixed master seed."""
-    ss = np.random.SeedSequence((int(master_seed) & (2**63 - 1),) + key)
+    """Counter-based random stream for (master_seed, *key), reproducible and mutually
+    independent across keys; each nonnegative master seed is its own stream."""
+    ss = np.random.SeedSequence((int(master_seed),) + key)
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -63,6 +63,12 @@ _PRIMES = (5, 7, 11, 13)
 _MAX_COSETS = 100_000
 
 
+# the fields with a default that each scheme reads; every scheme reads the required fields
+_READS = {scheme: {"sigma2", "search_budget", "shift_trials", *fields} for scheme, fields in (
+    ("p2p", ["power"]), ("very-strong-sym", ["power", "a", "genie"]), ("layered-sym", ["a", "N", "genie"]),
+    ("very-strong-general", ["h", "powers", "sigma2s", "genie"]))}
+
+
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
 
@@ -108,9 +114,9 @@ class SimConfig:
 
     def validate(self):
         """Refuse every config that a scheme rule forbids and return the plan
-        its driver runs: None for p2p, (layer powers, stage order) for the
-        symmetric schemes, (channel, per-receiver noise, condition set,
-        alignment factor magnitudes) for very-strong-general."""
+        its driver runs: its layer powers [power] for p2p, (layer powers, stage
+        order) for the symmetric schemes, (channel, per-receiver noise, condition
+        set, alignment factor magnitudes) for very-strong-general."""
         # annotations are strings here (postponed evaluation), e.g. "float | None"
         for f in dataclasses.fields(self):
             kind, _, optional = f.type.partition(" | ")
@@ -119,6 +125,11 @@ class SimConfig:
                 raise ConfigError(f"config field {f.name!r} must be {f.type} (finite, not bool), got {value!r}")
         if self.scheme not in _DRIVERS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        for f in dataclasses.fields(self):  # a field with a default, set to another value, that the scheme ignores
+            if f.default not in (dataclasses.MISSING, getattr(self, f.name)) and f.name not in _READS[self.scheme]:
+                raise ConfigError(f"{self.scheme} does not read {f.name!r}")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be nonnegative")
         if not 2 <= self.n <= 10:
             raise ConfigError("block length n must be in [2, 10]")
         for name, low, cap in (("trials", 100, MAX_TRIALS), ("search_budget", 1, MAX_SEARCH_BUDGET),
@@ -149,7 +160,7 @@ class SimConfig:
         if self.scheme == "p2p":
             powers = [self.power]
             self._check_layers(powers, [1.0], [powers], self.sigma2)  # no interferers
-            plan = None
+            plan = powers
         elif self.scheme == "very-strong-sym":
             powers = [self.power]
             self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
@@ -221,12 +232,15 @@ class ErrorStats:
     per_stage_interference_errors: list[int]
     per_stage_message_errors: list[int]
     block_errors: int
-    wilson_interval: tuple[float, float]
     meta: dict = field(default_factory=dict)
 
     @property
     def block_error_rate(self) -> float:
         return self.block_errors / self.trials
+
+    @property
+    def wilson_interval(self) -> tuple[float, float]:
+        return wilson_interval(self.block_errors, self.trials)
 
     def to_json_line(self, config: SimConfig) -> str:
         doc = {
@@ -298,63 +312,40 @@ def _candidate_params(n: int, rate: float) -> list[tuple[int, int]]:
     return pairs
 
 
-def _codebooks(
-    cfg: SimConfig, cand: int, lattices, powers: list[float], rates: list[float]
-) -> list[Codebook] | None:
-    """Shaped codebooks for one candidate index, or None once a layer misses
-    its cardinality target. `lattices` is consumed lazily, so no lattice is
-    designed after a layer fails."""
-    books = []
-    for i, (P, R, lat) in enumerate(zip(powers, rates, lattices)):
-        seed = keyed_stream(cfg.master_seed, _SHIFT, cand, i)
-        cb = build_codebook(lat, P, R, shift_trials=cfg.shift_trials, seed=seed)
-        if not cb.target_met:
-            return None
-        books.append(cb)
-    return books
+def _layer_lattices(cfg: SimConfig, powers: list[float], cand: int):
+    """One independently designed lattice per layer, lazily: a random code of
+    the candidate index's (p, k) pair, scaled by `_cell_scale`."""
+    for i, (P, R) in enumerate(zip(powers, cfg.rates)):
+        pairs = _candidate_params(cfg.n, R)
+        p, k = pairs[cand % len(pairs)]
+        gamma = _cell_scale(cfg.n, P, R, p, k)
+        yield construction_a(make_linear_code(cfg.n, k, p, keyed_stream(cfg.master_seed, _CODE, cand, i)), gamma)
 
 
-def _layer_codebooks(
-    cfg: SimConfig, cand: int, powers: list[float], rates: list[float]
-) -> list[Codebook] | None:
-    """One independently designed lattice per layer: a random code of the
-    candidate index's (p, k) pair, scaled by `_cell_scale`."""
-
-    def lattices():
-        for i, (P, R) in enumerate(zip(powers, rates)):
-            pairs = _candidate_params(cfg.n, R)
-            p, k = pairs[cand % len(pairs)]
-            gamma = _cell_scale(cfg.n, P, R, p, k)
-            yield construction_a(make_linear_code(cfg.n, k, p, keyed_stream(cfg.master_seed, _CODE, cand, i)), gamma)
-
-    return _codebooks(cfg, cand, lattices(), powers, rates)
-
-
-def _search(cfg: SimConfig, build, run) -> ErrorStats:
-    """Best-of-budget lattice selection. `build(cand)` returns the candidate's
-    codebooks or None to skip it; `run(cand, books)` returns its ErrorStats.
-    The first candidate with the fewest block errors wins."""
-    best = None
-    tried = 0
+def _search(cfg: SimConfig, powers: list[float], lattices, run) -> ErrorStats:
+    """Best-of-budget lattice selection. Candidate `cand` shapes one codebook per
+    lattice of the lazy iterable `lattices(cand)`, with that layer's power, rate
+    and shift stream, and is skipped at the first codebook that misses its size
+    target, so no later lattice is designed. `run(cand, books)` returns its
+    ErrorStats; the first candidate with the fewest block errors wins."""
+    best, tried = None, 0
     for cand in range(cfg.search_budget):
-        books = build(cand)
-        if books is None:
-            continue
-        tried += 1
-        stats = run(cand, books)
-        if best is None or stats.block_errors < best.block_errors:
-            best = stats
+        books = []
+        for i, (P, R, lat) in enumerate(zip(powers, cfg.rates, lattices(cand))):
+            seed = keyed_stream(cfg.master_seed, _SHIFT, cand, i)
+            books.append(build_codebook(lat, P, R, shift_trials=cfg.shift_trials, seed=seed))
+            if not books[-1].target_met:
+                break
+        else:  # every codebook met its target
+            tried += 1
+            stats = run(cand, books)
+            stats.meta["candidate"] = cand
+            if best is None or stats.block_errors < best.block_errors:
+                best = stats
     if best is None:
         raise ConfigError("no candidate lattice met the codebook cardinality target")
     best.meta["candidates_run"] = tried
     return best
-
-
-def _stats(bad: np.ndarray, int_errs: list[int], msg_errs: list[int], meta: dict) -> ErrorStats:
-    """ErrorStats of a run whose per-trial block failures are `bad`."""
-    blocks = int(bad.sum())
-    T = len(bad)
-    return ErrorStats(T, int_errs, msg_errs, blocks, wilson_interval(blocks, T), meta)
 
 
 def _layers_meta(books: list[Codebook]) -> list[dict]:
@@ -488,10 +479,10 @@ def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, 
         int_errs.append(int(bad["interference"].sum()))
         msg_errs.append(int(bad["message"].sum()))
         block_bad |= bad["message"]
-    return _stats(block_bad, int_errs, msg_errs, meta)
+    return ErrorStats(len(resid), int_errs, msg_errs, int(block_bad.sum()), meta)
 
 
-def _simulate_point_to_point(cfg: SimConfig, _plan: None) -> ErrorStats:
+def _simulate_point_to_point(cfg: SimConfig, powers: list[float]) -> ErrorStats:
     """Single-user AWGN run: y = x + z, nearest-point decoding on the shifted
     lattice, an error wherever the decode is not the sent codeword (so also
     wherever it leaves the shaping sphere); best-of-budget lattice selection."""
@@ -504,10 +495,10 @@ def _simulate_point_to_point(cfg: SimConfig, _plan: None) -> ErrorStats:
         # no interferers: the receiver model reduces to y = x + z
         y = x + math.sqrt(cfg.sigma2) * z
         dec = _nearest_on_lattice(cb.lattice, cb.shift, y)
-        bad = _rows_differ(dec, x)
-        return _stats(bad, [0], [int(bad.sum())], {"candidate": cand, "layers": _layers_meta(books)})
+        errors = int(_rows_differ(dec, x).sum())
+        return ErrorStats(cfg.trials, [0], [errors], errors, {"layers": _layers_meta(books)})
 
-    return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, [cfg.power], [cfg.rates[0]]), run)
+    return _search(cfg, powers, lambda cand: _layer_lattices(cfg, powers, cand), run)
 
 
 def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]]) -> ErrorStats:
@@ -540,9 +531,9 @@ def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]
              _pair_sums(b.words, a), scale_lattice(b.lattice, a), 2.0 * a * b.shift)
             for b, m in zip(books, msgs)
         )
-        return _decode_stages(cfg, resid, layers, order, {"candidate": cand, "layers": _layers_meta(books)})
+        return _decode_stages(cfg, resid, layers, order, {"layers": _layers_meta(books)})
 
-    return _search(cfg, lambda cand: _layer_codebooks(cfg, cand, powers, list(cfg.rates)), run)
+    return _search(cfg, powers, lambda cand: _layer_lattices(cfg, powers, cand), run)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +554,13 @@ def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
     h, n, T = ch.h, cfg.n, cfg.trials
     pairs = _candidate_params(n, max(cfg.rates))
 
-    def build(cand):
+    def lattices(cand):
         # base lattice scaled so every user's codebook can meet its target
         p_mod, k = pairs[cand % len(pairs)]
         code = make_linear_code(n, k, p_mod, keyed_stream(cfg.master_seed, _CODE, cand, 0))
         gammas = [_cell_scale(n, P, R, p_mod, k) / f for P, R, f in zip(cfg.powers, cfg.rates, factors)]
         base = Lattice(code, 0.98 * min(gammas))
-        return _codebooks(cfg, cand, [scale_lattice(base, f) for f in factors], cfg.powers, cfg.rates)
+        return [scale_lattice(base, f) for f in factors]
 
     def run(cand, books):
         rng_msg = keyed_stream(cfg.master_seed, _MSG, cand)
@@ -583,9 +574,9 @@ def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
         # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
         layer = (books[0].words, xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums,
                  scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift)
-        return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"candidate": cand, "condition_set": condition_set})
+        return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"condition_set": condition_set})
 
-    return _search(cfg, build, run)
+    return _search(cfg, cfg.powers, lattices, run)
 
 
 # each scheme driver takes a validated config and the plan its validation returned

@@ -11,6 +11,7 @@ from latticeic.channel import (
     alignment_factors,
     channel_from_json,
     class_h1_membership,
+    keyed_stream,
     receive,
     symmetric_channel,
     transmit,
@@ -150,6 +151,9 @@ class TestTransmit:
         b = transmit(symmetric_channel(1.5), *xs, noise_seed=77)
         for ya, yb in zip(a, b):
             assert np.array_equal(ya, yb)
+
+    def test_seeds_apart_by_two_to_the_63_draw_differently(self):
+        assert keyed_stream(1).normal() != keyed_stream(2**63 + 1).normal()
 
     def test_linearity_for_fixed_seed(self):
         ch = symmetric_channel(1.5)

@@ -389,6 +389,13 @@ class TestBadInputs:
     def test_bad_config_field(self, tmp_path, capsys, text):
         self.simulate_text(tmp_path, capsys, text)
 
+    def test_negative_seed_flag_refused(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, dict(scheme="p2p", n=4, trials=100, rates=[0.5], power=3.0))
+        argv = ["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "run.jsonl")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: master_seed must be nonnegative\n"
+        assert not (tmp_path / "run.jsonl").exists()
+
     def test_codebook_volume_overflow_names_inputs(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, dict(scheme="p2p", n=2, trials=100, master_seed=0, rates=[512], power=3.0))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")]) == EXIT_VALIDATION

@@ -1,6 +1,5 @@
-"""Golden replay: seed 0 of every benchmark workload, seeds 1-4 of mc-shape,
-seed 1 of mc-decode and every recorded seed of closed-form, sent through
-`cli.main`, must write the bytes recorded in perfbench/golden.json."""
+"""Golden replay: every recorded seed (0-29) of every benchmark workload, sent
+through `cli.main`, must write the bytes recorded in perfbench/golden.json."""
 
 import contextlib
 import hashlib
@@ -55,7 +54,7 @@ def test_closed_form_seed_matches_golden(tmp_path, seed):
     assert replay(tmp_path, "closed-form", seed) == GOLDEN["closed-form"][str(seed)]
 
 
-# more seeds of the Monte Carlo workloads, for the restricted and full-lattice decoders
-@pytest.mark.parametrize("workload, seed", [("mc-shape", seed) for seed in range(1, 5)] + [("mc-decode", 1)])
+# the other recorded seeds of the Monte Carlo workloads, for the restricted and full-lattice decoders
+@pytest.mark.parametrize("workload, seed", [(w, seed) for w in ("mc-shape", "mc-decode") for seed in range(1, 30)])
 def test_monte_carlo_seed_matches_golden(tmp_path, workload, seed):
     assert replay(tmp_path, workload, seed) == GOLDEN[workload][str(seed)]

@@ -1,5 +1,6 @@
 """Monte Carlo simulator: configuration, determinism and decoding behavior."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -46,6 +47,12 @@ def vs_config(**kw):
 def vsg_config(**kw):
     base = dict(scheme="very-strong-general", n=4, trials=100, master_seed=0, rates=[0.2] * 3, powers=[3.0] * 3,
                 h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]])
+    base.update(kw)
+    return SimConfig(**base)
+
+
+def layered_config(**kw):
+    base = dict(scheme="layered-sym", n=4, trials=100, master_seed=1, rates=[0.2], a=2.0, N=1)
     base.update(kw)
     return SimConfig(**base)
 
@@ -180,6 +187,24 @@ class TestConfigValidation:
         pytest.param(vsg_config(h=[[1, 9, 9], [9, 1, 9], [9, 9]]),
                      "very-strong-general requires h, a 3x3 gain matrix, got [[1, 9, 9], [9, 1, 9], [9, 9]]",
                      id="ragged-gain-matrix"),
+        # fields the scheme does not read: without the refusal each ran as if it were absent
+        pytest.param(layered_config(power=1e6), "layered-sym does not read 'power'", id="layered-sym-power"),
+        pytest.param(layered_config(sigma2s=[5.0] * 3), "layered-sym does not read 'sigma2s'",
+                     id="layered-sym-sigma2s"),
+        pytest.param(layered_config(powers=[1.0, 2.0, 3.0]), "layered-sym does not read 'powers'",
+                     id="layered-sym-powers"),
+        pytest.param(layered_config(h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]]), "layered-sym does not read 'h'",
+                     id="layered-sym-h"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=3.0, a=2.0, N=3),
+                     "p2p does not read 'a'", id="p2p-a"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=3.0, N=3),
+                     "p2p does not read 'N'", id="p2p-N"),
+        pytest.param(SimConfig(scheme="p2p", n=4, trials=100, master_seed=0, rates=[0.5], power=3.0, genie=True),
+                     "p2p does not read 'genie'", id="p2p-genie"),
+        pytest.param(vs_config(N=2), "very-strong-sym does not read 'N'", id="very-strong-sym-N"),
+        pytest.param(vsg_config(a=2.0), "very-strong-general does not read 'a'", id="very-strong-general-a"),
+        # seeds -1 and 2**63 - 1 once shared every draw
+        pytest.param(vs_config(master_seed=-1), "master_seed must be nonnegative", id="negative-seed"),
     ])
     def test_scheme_rules_refused_by_validate(self, cfg, match):
         with pytest.raises(ConfigError, match=f"^{re.escape(match)}$"):
@@ -198,6 +223,25 @@ class TestConfigValidation:
         monkeypatch.setattr(SimConfig, "validate", lambda self: calls.append(self) or validate(self))
         run_simulation(cfg)
         assert calls == [cfg]
+
+    # very-strong-general reads sigma2 as the fallback for sigma2s
+    @pytest.mark.parametrize("cfg", [vsg_config(sigma2=2.0), vsg_config(sigma2s=[1.0, 2.0, 3.0])],
+                             ids=["sigma2", "sigma2s"])
+    def test_general_noise_fields_accepted(self, cfg):
+        cfg.validate()
+
+    def test_layer_miss_designs_no_later_lattice(self, monkeypatch):
+        """A candidate whose first layer misses its codebook size designs
+        one lattice, not one per layer, and runs nothing."""
+        codes = []
+        make = latticeic.simulate.make_linear_code
+        build = latticeic.simulate.build_codebook
+        monkeypatch.setattr(latticeic.simulate, "make_linear_code", lambda *args: codes.append(args) or make(*args))
+        monkeypatch.setattr(latticeic.simulate, "build_codebook",
+                            lambda *args, **kw: dataclasses.replace(build(*args, **kw), target_met=False))
+        with pytest.raises(ConfigError, match="^no candidate lattice met"):
+            run_simulation(layered_config(N=2, rates=[0.2, 0.2], search_budget=3))
+        assert len(codes) == 3
 
     def test_hash_stable(self):
         assert vs_config().config_hash() == vs_config().config_hash()
