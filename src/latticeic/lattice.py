@@ -99,19 +99,15 @@ class LinearCode:
 
     @cached_property
     def codewords(self) -> np.ndarray:
-        """All p**k codewords, shape (p**k, n)."""
+        """All p**k codewords in lexicographic order, shape (p**k, n)."""
         size = self.p ** self.k
         if size > MAX_COSETS:
             raise ValueError(f"p**k = {size} exceeds enumeration limit {MAX_COSETS}")
-        if self.k == 0:
-            return np.zeros((1, self.n), dtype=np.int64)
-        # coefficient vectors in Z_p^k, odometer order
-        coeffs = np.stack(
-            np.meshgrid(*[np.arange(self.p)] * self.k, indexing="ij"), axis=-1
-        ).reshape(-1, self.k)
-        words = (coeffs @ self.generators) % self.p
-        # independent generators give distinct words: a row sort is np.unique(words, axis=0)
-        return words[np.lexsort(words.T[::-1])]
+        # coefficient vectors in Z_p^k in odometer order: over the RREF rows that
+        # is the words' lexicographic order, as a word holds coefficient j at
+        # pivot j and only the rows above row j are nonzero before that pivot
+        coeffs = np.arange(size)[:, None] // self.p ** np.arange(self.k - 1, -1, -1) % self.p
+        return coeffs @ self._rref[0] % self.p
 
     @cached_property
     def _onehot(self) -> np.ndarray:
@@ -250,26 +246,29 @@ class Codebook:
 
 
 def _shaping_frontier(lat: Lattice, shifts: np.ndarray, power: float):
-    """The breadth-first frontier of every (shift, coset) prefix, shift-major,
-    over the coordinates: each prefix is expanded into its ascending z-range
-    and kept while its squared norm stays <= n * power. Returns the (shift,
-    coset) root of each final point and, per level, the parent index and the
-    coordinate of each kept point. None if the roots or a level would
-    exceed MAX_SPHERE_POINTS, so memory stays bounded whatever the number
-    of shifts; one shift's roots never do, as p**k <= MAX_COSETS =
-    MAX_SPHERE_POINTS."""
-    if len(shifts) * len(lat.code.codewords) > MAX_SPHERE_POINTS:
-        return None
-    n, gamma = lat.n, lat.gamma
+    """The breadth-first frontier of a trie of codeword prefixes over the
+    coordinates, shift-major. A node is (shift, group, z prefix), its group the
+    odometer index of the RREF coefficients fixed so far; a pivot column fans
+    each node out into its p residues, and each node is expanded into its
+    ascending z-range and kept while its squared norm stays <= n * power.
+    Returns shift * p**k + coset of each final point and, per level, the parent
+    index and coordinate of each kept point; None if a fan-out or a level would
+    exceed MAX_SPHERE_POINTS, so memory stays bounded whatever the shifts."""
+    n, p, gamma = lat.n, lat.p, lat.gamma
     r2 = n * power
-    step = gamma * lat.p
-    offsets = gamma * lat.code.codewords
-    owner = np.arange(len(shifts) * len(offsets))  # (shift, coset) root, shift-major
+    step = gamma * p
+    stride = len(lat.code.codewords)  # codewords per group, contiguous in odometer order
+    owner = np.arange(len(shifts))  # shift * (number of groups) + group
     used = np.zeros(len(owner))  # squared norm of each prefix
     levels = []
     for i in range(n):
-        # coordinate i of every root, built one level at a time to save memory
-        b = (offsets[:, i] + shifts[:, i, None]).ravel()[owner]
+        fan = p if i in lat.code._rref[1] else 1
+        if fan > 1:  # a pivot fixes the next coefficient r: group g fans out into g*p + r
+            if len(owner) * p > MAX_SPHERE_POINTS:
+                return None
+            owner = (owner[:, None] * p + np.arange(p)).ravel()
+            used, stride = np.repeat(used, p), stride // p
+        b = (gamma * lat.code.codewords[::stride, i] + shifts[:, i, None]).ravel()[owner]
         half = np.sqrt(r2 - used)
         lo = np.ceil((-half - b) / step)
         counts = np.maximum(np.floor((half - b) / step) - lo + 1, 0)
@@ -288,7 +287,7 @@ def _shaping_frontier(lat: Lattice, shifts: np.ndarray, power: float):
         keep = u <= r2
         parent = parent[keep]
         owner, used = owner[parent], u[keep]
-        levels.append((parent, w[keep]))
+        levels.append((parent // fan, w[keep]))
     return owner, levels
 
 
@@ -299,10 +298,11 @@ def _enumerate_shifted_spheres(
     most points of squared norm <= n * power, and those points, ordered by
     (coset, z_0, ..., z_{n-1}) where point = gamma*c + shift + gamma*p*z.
 
-    One frontier serves all shifts and only the winner's words are rebuilt,
-    by walking the parent indices back. A block of shifts whose frontier
-    would exceed MAX_SPHERE_POINTS is split in halves; a single shift past
-    it raises ValueError.
+    One trie serves all shifts. Only the winner's words are rebuilt, by
+    walking the parent indices back, and come out in z order within each
+    coset, so a stable sort by coset orders them. A block of shifts whose
+    trie would exceed MAX_SPHERE_POINTS is split in halves; a single shift
+    past it raises ValueError.
     """
     grown = _shaping_frontier(lat, shifts, power)
     if grown is None:
@@ -318,18 +318,18 @@ def _enumerate_shifted_spheres(
             return mid + second, second_words
         return first, first_words
     owner, levels = grown
-    sizes = np.bincount(owner // len(lat.code.codewords), minlength=len(shifts))
-    best = int(np.argmax(sizes))
-    start = int(sizes[:best].sum())
-    node = np.arange(start, start + sizes[best])
+    shift, coset = np.divmod(owner, len(lat.code.codewords))
+    best = int(np.argmax(np.bincount(shift, minlength=len(shifts))))
+    node = np.flatnonzero(shift == best)
+    order = np.argsort(coset[node], kind="stable")
     # each level is freed as soon as it is read, before the words are built
     columns = []
     while levels:
         parent, w = levels.pop()
         columns.append(w[node])
         node = parent[node]
-    del parent, w, owner
-    return best, np.column_stack(columns[::-1])
+    del parent, w, owner, shift, coset
+    return best, np.column_stack(columns[::-1])[order]
 
 
 def build_codebook(

@@ -37,6 +37,17 @@ def full_code(n, p):
     return LinearCode(n, n, p, np.eye(n, dtype=np.int64))
 
 
+# codes make_linear_code rarely draws at p >= 5: a zero first column, pivots
+# {1, 3}, k = 0, k = n and n = 1, none with generators already in RREF
+EXPLICIT_CODES = {
+    "zero-first-column": LinearCode(4, 2, 5, np.array([[0, 2, 4, 1], [0, 3, 2, 1]])),
+    "pivots-1-3": LinearCode(5, 2, 7, np.array([[0, 2, 6, 1, 2], [0, 1, 3, 3, 3]])),
+    "k0": LinearCode(3, 0, 5, np.zeros((0, 3), dtype=np.int64)),
+    "k-equals-n": LinearCode(3, 3, 5, np.array([[2, 1, 0], [1, 1, 3], [0, 4, 1]])),
+    "n1": LinearCode(1, 1, 13, np.array([[6]])),
+}
+
+
 def lat_5z2():
     return construction_a(zero_code(2, 5), 1.0)
 
@@ -102,10 +113,21 @@ class TestLinearCode:
         assert len(code.codewords) == 49
         assert {tuple(w) for w in code.codewords} == words
 
-    # k = 0, k = n, two desk-scale codes and one whose p**n passes 2**63
-    @pytest.mark.parametrize("n, k, p", [(3, 0, 5), (4, 4, 5), (8, 4, 13), (10, 5, 11), (20, 3, 13)])
-    def test_codewords_in_unique_order(self, n, k, p):
-        code = make_linear_code(n, k, p, seed=n + k + p)
+    def test_explicit_codes_pivots(self):
+        assert EXPLICIT_CODES["zero-first-column"]._rref[1] == [1, 2]
+        assert EXPLICIT_CODES["pivots-1-3"]._rref[1] == [1, 3]
+
+    # k = 0, k = n, two desk-scale codes, one whose p**n passes 2**63 and the explicit codes
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param(make_linear_code(n, k, p, seed=n + k + p), id=f"{n}-{k}-{p}")
+            for n, k, p in [(3, 0, 5), (4, 4, 5), (8, 4, 13), (10, 5, 11), (20, 3, 13)]
+        ]
+        + [pytest.param(code, id=name) for name, code in EXPLICIT_CODES.items()],
+    )
+    def test_codewords_in_unique_order(self, code):
+        p, k = code.p, code.k
         coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
         words = (coeffs @ code.generators) % p
         assert np.array_equal(code.codewords, np.unique(words, axis=0))
@@ -372,9 +394,9 @@ def reference_nearest_batch(lat, ys):
     return lat.gamma * cands[np.arange(len(ys)), idx]
 
 
-def reference_enumeration(lat, shift, power, candidates=None):
+def reference_enumeration(lat, shift, power):
     """Reference enumeration: depth-first per coset, ascending z per
-    coordinate. Adds each level's candidate count to `candidates` if given."""
+    coordinate."""
     n, p, gamma = lat.n, lat.p, lat.gamma
     r2 = n * power
     step = gamma * p
@@ -390,8 +412,6 @@ def reference_enumeration(lat, shift, power, candidates=None):
             half = math.sqrt(r2 - used)
             lo = math.ceil((-half - base[i]) / step)
             hi = math.floor((half - base[i]) / step)
-            if candidates is not None:
-                candidates[i] += max(hi - lo + 1, 0)
             for z in range(lo, hi + 1):
                 w = base[i] + step * z
                 if used + w * w <= r2:
@@ -407,6 +427,36 @@ def reference_best(lat, shifts, power):
     per_shift = [reference_enumeration(lat, s, power) for s in shifts]
     best = int(np.argmax([len(w) for w in per_shift]))
     return best, per_shift[best]
+
+
+def reference_trie_sizes(lat, shift, power):
+    """Per coordinate, the most points the trie of codeword prefixes holds
+    for one shift: its nodes fanned out over their residues, or its total of
+    candidate z values. Counted depth-first over distinct codeword prefixes."""
+    n, p, gamma = lat.n, lat.p, lat.gamma
+    r2 = n * power
+    step = gamma * p
+    fanned = np.zeros(n, dtype=np.int64)
+    total = np.zeros(n, dtype=np.int64)
+
+    def dfs(i, words, used):
+        if i == n:
+            return
+        residues = np.unique(words[:, i])
+        fanned[i] += len(residues)
+        half = math.sqrt(r2 - used)
+        for r in residues:
+            b = gamma * r + shift[i]
+            lo = math.ceil((-half - b) / step)
+            hi = math.floor((half - b) / step)
+            total[i] += max(hi - lo + 1, 0)
+            for z in range(lo, hi + 1):
+                w = b + step * z
+                if used + w * w <= r2:
+                    dfs(i + 1, words[words[:, i] == r], used + w * w)
+
+    dfs(0, lat.code.codewords, 0.0)
+    return np.maximum(fanned, total)
 
 
 # cosets times rows times n stays small enough for the broadcast reference
@@ -458,6 +508,17 @@ class TestReferenceEquality:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", EXPLICIT_CODES)
+    def test_explicit_codes_enumerated_in_order(self, name):
+        code = EXPLICIT_CODES[name]
+        lat = construction_a(code, 0.7)
+        shifts = np.random.default_rng(len(name)).uniform(0, 0.7 * code.p, size=(3, code.n))
+        best, got = _enumerate_shifted_spheres(lat, shifts, 4.0)
+        want_best, want = reference_best(lat, shifts, 4.0)
+        assert best == want_best
+        assert got.shape == want.shape and len(want) > 0
+        assert np.array_equal(got, want)
+
     def test_duplicated_shift_first_wins(self):
         lat = construction_a(make_linear_code(3, 1, 5, seed=4), 0.9)
         shifts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
@@ -481,13 +542,9 @@ class TestReferenceEquality:
         best, words = _enumerate_shifted_spheres(lat, shifts, 6.0)
         want_best, want = reference_best(lat, shifts, 6.0)
         assert best == want_best and np.array_equal(words, want) and len(want) > 0
-        # a cap every single shift fits under but the whole block does not:
-        # its 20 roots pass it, and each half's levels do
-        peak = 0
-        for s in (a, b):
-            per_level = np.zeros(3, dtype=np.int64)
-            reference_enumeration(lat, s, 6.0, per_level)
-            peak = max(peak, int(per_level.max()))
+        # a cap every single shift's trie fits under; the whole block's trie
+        # holds two copies of each, so it passes the cap at that level
+        peak = max(int(reference_trie_sizes(lat, s, 6.0).max()) for s in (a, b))
         monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", peak)
         blocks = []
         grow = lattice._shaping_frontier
@@ -496,6 +553,28 @@ class TestReferenceEquality:
         assert blocks[:2] == [4, 2]  # the whole block was split
         assert split_best == best
         assert np.array_equal(split_words, words)
+
+    def test_cap_below_one_shifts_cosets(self, monkeypatch):
+        # the trie never holds all p**k cosets of a shift at once, so a cap
+        # below them still builds the codebook
+        lat = construction_a(make_linear_code(4, 3, 7, seed=1), 1.0)
+        shifts = np.random.default_rng(1).uniform(0, 7.0, size=(3, 4))
+        peak = max(int(reference_trie_sizes(lat, s, 2.0).max()) for s in shifts)
+        assert peak < len(lat.code.codewords)
+        monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", peak)
+        best, got = _enumerate_shifted_spheres(lat, shifts, 2.0)
+        want_best, want = reference_best(lat, shifts, 2.0)
+        assert best == want_best and len(want) > 0
+        assert np.array_equal(got, want)
+
+    def test_fan_out_cap(self, monkeypatch):
+        # a pivot's fan-out into p residues is refused before it is allocated,
+        # though only 3 of its 13 residues have a point in the sphere
+        lat = construction_a(EXPLICIT_CODES["n1"], 1.0)
+        monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", 12)
+        with pytest.raises(ValueError, match="over 12 candidate points"):
+            _enumerate_shifted_spheres(lat, np.zeros((1, 1)), 1.0)
+
     def test_point_cap(self):
         lat = construction_a(zero_code(4, 2), 0.01)
         # one shift past the cap, alone or after the block is split
