@@ -38,7 +38,6 @@ from .rates import (
     sym_rate_lattice,
     threshold_power,
     very_strong_general,
-    very_strong_symmetric,
 )
 from .simulate import (
     ConfigError,
@@ -82,5 +81,4 @@ __all__ = [
     "threshold_power",
     "transmit",
     "very_strong_general",
-    "very_strong_symmetric",
 ]

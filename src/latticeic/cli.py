@@ -2,9 +2,9 @@
 checks and Monte Carlo runs. Outputs are plotter-agnostic CSV/JSON and
 every command writes a manifest that reproduces it byte-identically.
 
-Each command except `replay` returns (text, params, seed): the output
-file's content, the manifest's params and its master seed. `main` writes
-both files.
+Each command except `replay` returns (text, params): the output file's
+content and the manifest's params. `main` writes both files. Only
+`simulate`, the one command that draws random numbers, takes `--seed`.
 
 Exit codes: 0 success, 2 validation error, 3 runtime/convergence error.
 """
@@ -59,7 +59,7 @@ def _csv(header: list[str], rows) -> str:
 
 def _flags(args) -> dict:
     """The command's own flags, in declaration order."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "seed", "out")}
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
 
 
 def _check_numeric_flags(args) -> None:
@@ -70,7 +70,7 @@ def _check_numeric_flags(args) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be a positive finite number, got {value!r}")
 
 
-def cmd_dof_curve(args) -> tuple[str, dict, int]:
+def cmd_dof_curve(args) -> tuple[str, dict]:
     if not args.a2_min < args.a2_max:
         raise ConfigError("need a2-min < a2-max")
     if not 2 <= args.steps <= MAX_GRID_SIZE:
@@ -81,10 +81,10 @@ def cmd_dof_curve(args) -> tuple[str, dict, int]:
     else:
         grid = np.linspace(args.a2_min, args.a2_max, args.steps)
     rows = [(float(a2), dof_symmetric(float(a2))) for a2 in grid]
-    return _csv(["a2", "dof"], rows), _flags(args), args.seed
+    return _csv(["a2", "dof"], rows), _flags(args)
 
 
-def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
+def cmd_sym_rate_compare(args) -> tuple[str, dict]:
     if (
         not args.p_min <= args.p_max
         or not 1 <= args.steps <= MAX_GRID_SIZE
@@ -117,7 +117,7 @@ def cmd_sym_rate_compare(args) -> tuple[str, dict, int]:
     )
     if warnings:
         print(warnings[0], file=sys.stderr)
-    return text, {**_flags(args), "warnings": warnings}, args.seed
+    return text, {**_flags(args), "warnings": warnings}
 
 
 def _triple(name: str, text: str) -> list[float]:
@@ -127,7 +127,7 @@ def _triple(name: str, text: str) -> list[float]:
     return values
 
 
-def cmd_align_check(args) -> tuple[str, dict, int]:
+def cmd_align_check(args) -> tuple[str, dict]:
     powers = None if args.powers is None else _triple("powers", args.powers)
     noises = _triple("noises", args.noises or "1,1,1")
     text = Path(args.matrix_file).read_text()
@@ -147,10 +147,10 @@ def cmd_align_check(args) -> tuple[str, dict, int]:
                 rr, idx = res
                 report["condition_set"] = idx
                 report["rates_bits_per_dim"] = list(rr.per_user_rates)
-    return json.dumps(report, indent=2, allow_nan=False) + "\n", _flags(args), args.seed
+    return json.dumps(report, indent=2, allow_nan=False) + "\n", _flags(args)
 
 
-def cmd_simulate(args) -> tuple[str, dict, int]:
+def cmd_simulate(args) -> tuple[str, dict]:
     try:
         doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
@@ -167,10 +167,10 @@ def cmd_simulate(args) -> tuple[str, dict, int]:
     except TypeError as exc:  # a required field is missing
         raise ConfigError(f"incomplete config: {exc}") from exc
     stats = run_simulation(cfg)
-    return stats.to_json_line(cfg) + "\n", {"config": cfg.to_json_dict()}, cfg.master_seed
+    return stats.to_json_line(cfg) + "\n", {"config": cfg.to_json_dict()}
 
 
-def cmd_dof_nonsym(args) -> tuple[str, dict, int]:
+def cmd_dof_nonsym(args) -> tuple[str, dict]:
     g2 = [squared_gain("--" + flag, getattr(args, flag)) for flag in ("a1", "a2", "a3")]
     if any(x < 2.0 for x in g2):
         raise ConfigError("all squared gains must be >= 2")
@@ -180,7 +180,7 @@ def cmd_dof_nonsym(args) -> tuple[str, dict, int]:
     final = sweep_dof(rows)
     text = _csv(["N", "sum_rate", "total_power", "dof_estimate"], [row + (sweep_dof([row]),) for row in rows])
     print(repr(final))
-    return text, {**_flags(args), "dof": final}, args.seed
+    return text, {**_flags(args), "dof": final}
 
 
 def cmd_replay(args) -> int:
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
         p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("dof-curve", help="degrees-of-freedom curve over a^2")
@@ -237,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run from a JSON config")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed of a config without master_seed")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -267,14 +267,13 @@ def main(argv=None) -> int:
         _check_numeric_flags(args)
         if args.command == "replay":
             return cmd_replay(args)
-        text, params, seed = args.func(args)
+        text, params = args.func(args)
         out = Path(args.out)
         out.write_text(text, newline="")
         manifest = {
             "command": args.command,
             "params": params,
             "version": __version__,
-            "master_seed": seed,
             "outputs": [str(out)],
             "argv": argv,
         }

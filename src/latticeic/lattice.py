@@ -7,6 +7,7 @@ the types are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,8 +145,8 @@ class Lattice:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
     @property
     def n(self) -> int:
@@ -346,10 +347,10 @@ def build_codebook(
 
     An explicit `shift` bypasses the random search.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    if target_rate < 0:
-        raise ValueError("target_rate must be nonnegative")
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"power must be positive and finite, got {power!r}")
+    if not 0.0 <= target_rate < math.inf:
+        raise ValueError(f"target_rate must be nonnegative and finite, got {target_rate!r}")
     if shift_trials < 1:
         raise ValueError("shift_trials must be >= 1")
     n = lat.n

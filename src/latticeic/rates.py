@@ -16,6 +16,9 @@ from .channel import ChannelMatrix3
 
 STRONG_MIN_A2 = 2.0
 WEAK_MAX_A2 = 1.0 / 3.0
+# relative rounding slack of each very-strong link test: a gain that squares
+# to just under its bound, such as a = sqrt(P/sigma2 + 1), meets it
+VERY_STRONG_RTOL = 1e-12
 
 
 class AllocationError(ValueError):
@@ -39,11 +42,17 @@ class LayeredAllocation:
 @dataclass(frozen=True)
 class RateReport:
     per_user_rates: tuple[float, float, float]
-    binding_constraint: str  # names the scheme: case-b, c, e, f lattice-layered; case-d, band-fallback HK; else very strong
+    binding_constraint: str  # names the scheme: case-b, c, e, f lattice-layered; case-d, band-fallback HK; condition-set-i very strong
 
 
 def _report(rates, binding) -> RateReport:
     return RateReport(tuple(float(x) for x in rates), binding)
+
+
+def _require_positive_finite(what: str, *values) -> None:
+    """Refuse unless every value is a positive finite number (`<= 0` passes NaN and inf)."""
+    if not all(0.0 < x < math.inf for x in values):
+        raise ValueError(f"{what} must be positive and finite, got {', '.join(map(repr, values))}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +88,8 @@ def dof_symmetric(a2: float) -> float:
     """Achievable total degrees of freedom of the symmetric channel as a
     function of the squared cross gain a2 = a**2: 3 log(gain) / log(ratio)
     of the power ladder, and 1 (time sharing) in the band between."""
-    if a2 <= 0:
-        raise ValueError("a2 must be positive")
+    if not a2 > 0:  # NaN too; inf leaves the ladder's float range
+        raise ValueError(f"a2 must be positive, got {a2!r}")
     if WEAK_MAX_A2 < a2 < STRONG_MIN_A2:
         return 1.0
     _, _, ratio, gain = _ladder(a2)
@@ -160,8 +169,9 @@ def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> floa
     as noise. This restricted split is a lower bound to the full
     common-message region.
     """
-    if P <= 0 or sigma2 <= 0:
-        raise ValueError("P and sigma2 must be positive")
+    _require_positive_finite("P and sigma2", P, sigma2)
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a!r}")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     a2 = a * a
@@ -205,8 +215,7 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
     Weak regime (a2 <= 1/3): same layering with the baseline filling the
     residual. The middle band falls back to the baseline entirely.
     """
-    if P <= 0:
-        raise ValueError("P must be positive")
+    _require_positive_finite("P", P)
     if hk_oracle is None:
         hk_oracle = hk_sym_rate
     a = math.sqrt(a2)
@@ -255,16 +264,6 @@ def sym_rate_lattice(a2: float, P: float, hk_oracle=None) -> RateReport:
 # Very strong interference
 # ---------------------------------------------------------------------------
 
-def very_strong_symmetric(a2: float, P: float, sigma2: float = 1.0) -> RateReport | None:
-    """Single-layer rate (1/2)log2(P/sigma2) per user when a2 >= P/sigma2 + 1 - 1e-12."""
-    if a2 <= 0 or P <= 0 or sigma2 <= 0:
-        raise ValueError("inputs must be positive")
-    if a2 < P / sigma2 + 1.0 - 1e-12:
-        return None
-    r = max(0.0, 0.5 * math.log2(P / sigma2))
-    return _report([r] * 3, "message-decoding")
-
-
 # (p^2-link, q^2-link) of each very-strong condition set, as (receiver,
 # transmitter) indices; every other cross link needs h_jk^2 >= s_j / sigma2_k
 _VERY_STRONG_SETS = (((0, 1), (1, 0)), ((1, 2), (2, 1)), ((2, 0), (0, 2)))
@@ -280,7 +279,9 @@ def _very_strong_conditions(ch: ChannelMatrix3, P, sigma2) -> list[bool]:
     with np.errstate(over="ignore"):
         for p_link, q_link in _VERY_STRONG_SETS:
             mult = {p_link: p * p, q_link: q * q}
-            conds.append(all(h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] for j, k in links))
+            conds.append(all(
+                h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] * (1.0 - VERY_STRONG_RTOL) for j, k in links
+            ))
     return conds
 
 
@@ -295,8 +296,7 @@ def very_strong_general(
         raise ValueError("channel has no rational-ratio witness")
     P = [float(x) for x in P]
     sigma2 = [float(x) for x in sigma2]
-    if any(x <= 0 for x in P + sigma2):
-        raise ValueError("powers and noise variances must be positive")
+    _require_positive_finite("powers and noise variances", *P, *sigma2)
     conds = _very_strong_conditions(ch, P, sigma2)
     for idx, ok in enumerate(conds, start=1):
         if ok:

@@ -40,7 +40,6 @@ from .rates import (
     layered_allocation_symmetric,
     stage_constraints_strong,
     very_strong_general,
-    very_strong_symmetric,
 )
 
 # stream tags for keyed seed derivation
@@ -164,7 +163,7 @@ class SimConfig:
         elif self.scheme == "very-strong-sym":
             powers = [self.power]
             self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
-            if very_strong_symmetric(a2, self.power, max(self.sigma2, 1.0)) is None:
+            if very_strong_general(symmetric_channel(self.a), [self.power] * 3, [max(self.sigma2, 1.0)] * 3) is None:
                 raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
             plan = powers, _STRONG_ORDER
         elif self.scheme == "layered-sym":

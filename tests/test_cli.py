@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -639,37 +640,38 @@ def test_numeric_flags_exit_codes_and_finite_output(command, data):
 
 # Whole manifest files, byte for byte, with the run's temporary directory
 # replaced by a fixed placeholder. Covers every command's params (including
-# the derived `warnings` and `dof` entries), a simulate config
-# whose master_seed comes from --seed, and the replay of that run.
+# the derived `warnings` and `dof` entries), a simulate config whose
+# master_seed comes from --seed (recorded only in params' config), and the
+# replay of that run.
 MANIFEST_PINNED = {
     "dof-curve": (
         ["dof-curve", "--a2-min", "0.05", "--a2-max", "12", "--steps", "7", "--log-axis"],
-        "8682aed8b8c539a0a940dc950822fb778ba9e67596753bcce0d62982c4be4003",
+        "515165c674cfee426dd57fe01ec42d2b89c08dfd912df42316db85391ce3e729",
     ),
     "sym-rate-compare-band": (
         ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "100", "--steps", "3", "--grid-size", "21"],
-        "fc894a8f217f3e101848b7021b3babc281b59b365a7b8b46e477a17cebaf53d7",
+        "8a597fb6d75d0d59c3854b6b80be32e335e2ffc8857d175b2ddfc19b6200fa73",
     ),
     "align-check": (
         ["align-check", "--matrix", "set-2", "--powers", "1,1,1", "--noises", "1,2,1"],
-        "407cfe670d62232d869290b21d6ab7329cfe2b065f5a211de2289367c03c07b3",
+        "b793351824fb84c076d00c0077798de98d1998008d9fe6e096422c9eb5f7e28b",
     ),
     "align-check-no-powers": (
         ["align-check", "--matrix", "set-3"],
-        "2952a6bd78301d008c4fa818622d259b8409a160b11ec92aae07db3f71c49f91",
+        "ba9b21a3a772a4706705f4e5f322a99f8b86e3c8fddc414c314e82a5bcfcd9ab",
     ),
     "dof-nonsym": (
         ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8", "--n-max", "5"],
-        "d11171e965dac036c9d3e819328f94022678a6281ec9c5982f94160d33b0edeb",
+        "b977f4eac396d4eb7b8c61054ef9581a8ec8b79cf33a51cb4ea85274672c3f2c",
     ),
     "simulate-seed-flag": (
         ["simulate", "--config", "{tmp}/sim.json", "--seed", "5"],
-        "838e633293ea4ce3185182fd14af2d0d532b57f9af8a2fa69e0745897f7ad462",
+        "553d21704d12957d6b89a27aa18d48104c44121aac5f0ebed9db882cf352f301",
     ),
     # replays the manifest of simulate-seed-flag, which rewrites the same output
     "simulate-replay": (
         ["replay", "{tmp}/first.manifest.json"],
-        "838e633293ea4ce3185182fd14af2d0d532b57f9af8a2fa69e0745897f7ad462",
+        "553d21704d12957d6b89a27aa18d48104c44121aac5f0ebed9db882cf352f301",
     ),
 }
 SEEDLESS_CONFIG = dict(scheme="very-strong-sym", n=4, trials=100, rates=[0.25], power=3.0, a=4.0, search_budget=1)
@@ -694,6 +696,37 @@ def test_whole_manifest_pinned(name, tmp_path):
     assert main(argv) == EXIT_OK
     manifest = (tmp_path / "out.manifest.json").read_bytes().replace(tmp.encode(), b"{tmp}")
     assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["dof-curve", "--a2-min", "1", "--a2-max", "2"],
+    ["sym-rate-compare", "--a", "2.5"],
+    ["align-check", "--matrix-file", "h.json"],
+    ["dof-nonsym", "--a1", "4", "--a2", "6", "--a3", "8"],
+], ids=lambda argv: argv[0])
+def test_seed_flag_is_simulate_only(argv, capsys):
+    # the closed-form commands draw no random numbers, so they take no seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", "x"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    """Every `latticeic ...` line of the README parses, so a removed flag
+    cannot stay in the docs; nothing is run."""
+    lines = [line.strip() for line in README.read_text().splitlines() if line.strip().startswith("latticeic ")]
+    assert len(lines) >= 6
+    parser = latticeic.cli.build_parser()
+    for line in lines:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}\n{err.getvalue()}")
 
 
 # A short run of each scheme that passes validation (with 4 candidates it

@@ -175,8 +175,15 @@ class TestConstructionA:
         assert not is_lattice_point(lat, (6, 11))
 
     def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            construction_a(full_code(2, 5), 0.0)
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                construction_a(full_code(2, 5), gamma)
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                Lattice(full_code(2, 5), gamma)
+        # a scale factor that is not finite gives a non-finite gamma
+        for c in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                scale_lattice(construction_a(full_code(2, 5), 1.0), c)
 
 
 class TestIsLatticePoint:
@@ -279,10 +286,12 @@ class TestBuildCodebook:
 
     def test_rejects_bad_args(self):
         lat = lat_5z2()
-        with pytest.raises(ValueError):
-            build_codebook(lat, power=-1.0, target_rate=0.5)
-        with pytest.raises(ValueError):
-            build_codebook(lat, power=1.0, target_rate=-0.5)
+        for power in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^power must be positive and finite"):
+                build_codebook(lat, power=power, target_rate=0.5)
+        for rate in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^target_rate must be nonnegative and finite"):
+                build_codebook(lat, power=1.0, target_rate=rate)
         with pytest.raises(ValueError):
             build_codebook(lat, power=1.0, target_rate=0.5, shift_trials=0)
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticeic.simulate
@@ -49,6 +49,11 @@ def vsg_config(**kw):
                 h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]])
     base.update(kw)
     return SimConfig(**base)
+
+
+def symmetric_general_config(a, P, sigma2):
+    """very-strong-general on symmetric_channel(a), each user at power P and noise sigma2."""
+    return vsg_config(h=symmetric_channel(a).h.tolist(), powers=[P] * 3, sigma2s=[sigma2] * 3, rates=[0.1] * 3)
 
 
 def layered_config(**kw):
@@ -110,6 +115,35 @@ class TestConfigValidation:
         # a^2 = 4 < P + 1 at P = 4
         with pytest.raises(ConfigError):
             vs_config(a=2.0, power=4.0).validate()
+
+    def test_both_very_strong_schemes_judge_alike(self):
+        # a = sqrt(3) squares to just under P + 1 at P = 2; a^2 = 2 is far under it at P = 3
+        vs_config(a=math.sqrt(3.0), power=2.0).validate()
+        symmetric_general_config(math.sqrt(3.0), 2.0, 1.0).validate()
+        with pytest.raises(ConfigError, match=r"^very-strong condition a\^2 >= P/sigma2 \+ 1 violated$"):
+            vs_config(a=math.sqrt(2.0), power=3.0).validate()
+        with pytest.raises(ConfigError, match="^no very-strong condition set holds for this config$"):
+            symmetric_general_config(math.sqrt(2.0), 3.0, 1.0).validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(P=st.floats(0.01, 100.0), sigma2=st.floats(0.01, 10.0), step=st.sampled_from([0, -1, 1, None]),
+           free=st.floats(0.1, 20.0))
+    @example(P=2.0, sigma2=1.0, step=0, free=1.0)  # a = sqrt(3), below its bound by rounding
+    def test_very_strong_schemes_agree(self, P, sigma2, step, free):
+        """very-strong-sym and very-strong-general on the symmetric channel
+        accept or refuse together: on the bound a^2 = P/sigma2 + 1 (at the
+        noise floor max(sigma2, 1)), one ulp either side of it (step), or at
+        any gain (step None)."""
+        edge = math.sqrt(P / max(sigma2, 1.0) + 1.0)
+        a = {0: edge, -1: math.nextafter(edge, 0.0), 1: math.nextafter(edge, math.inf)}.get(step, free)
+        verdicts = []
+        for cfg in (vs_config(a=a, power=P, sigma2=sigma2, rates=[0.1]), symmetric_general_config(a, P, sigma2)):
+            try:
+                cfg.validate()
+                verdicts.append(True)
+            except ConfigError:
+                verdicts.append(False)
+        assert verdicts[0] == verdicts[1], (a, P, sigma2)
 
     def test_layer_rate_count(self):
         cfg = SimConfig(
