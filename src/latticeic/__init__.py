@@ -18,7 +18,6 @@ from .lattice import (
     Lattice,
     LinearCode,
     build_codebook,
-    construction_a,
     fundamental_volume,
     is_lattice_point,
     make_linear_code,
@@ -62,7 +61,6 @@ __all__ = [
     "build_codebook",
     "channel_from_json",
     "class_h1_membership",
-    "construction_a",
     "dof_nonsym_numeric",
     "dof_symmetric",
     "fundamental_volume",

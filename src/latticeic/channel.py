@@ -15,14 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_DEN = 10_000
+# The membership test's fixed tolerance on |ratio - p/q| and its bound on q
+RATIO_TOL = 1e-9
+RATIO_MAX_DEN = 10_000
 
 
 @dataclass(frozen=True)
 class ChannelMatrix3:
-    """3x3 gain matrix with unit diagonal, plus an optional witness (p, q)
-    for the rational cyclic ratio (h12/h21)(h23/h32)(h31/h13) = p/q."""
+    """3x3 matrix of finite gains with unit diagonal, plus an optional witness
+    (p, q) for the rational cyclic ratio (h12/h21)(h23/h32)(h31/h13) = p/q.
+    The one judge of a gain matrix."""
 
     h: np.ndarray
     h1_witness: tuple[int, int] | None = None
@@ -31,7 +33,9 @@ class ChannelMatrix3:
         h = np.asarray(self.h, dtype=float)
         if h.shape != (3, 3):
             raise ValueError(f"channel matrix must be 3x3, got {h.shape}")
-        if not np.allclose(np.diag(h), 1.0, atol=1e-12):
+        if not np.isfinite(h).all():
+            raise ValueError("channel gains must be finite")
+        if not np.allclose(np.diag(h), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("direct gains must be normalized to 1")
         object.__setattr__(self, "h", h)
         h.setflags(write=False)
@@ -57,48 +61,40 @@ def finite_real(x) -> bool:
         return False
 
 
-def class_h1_membership(
-    h, tol: float = DEFAULT_TOL, max_den: int = DEFAULT_MAX_DEN
-) -> tuple[int, int] | None:
-    """Reduced fraction p/q with p != 0, |ratio - p/q| <= tol and q <= max_den,
-    found by continued fractions; None if no such approximation exists."""
-    if not (finite_real(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    if not (isinstance(max_den, numbers.Integral) and not isinstance(max_den, bool) and max_den >= 1):
-        raise ValueError(f"max_den must be an integer >= 1, got {max_den!r}")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (3, 3):
-        raise ValueError(f"channel matrix must be 3x3, got {h.shape}")
-    if not np.allclose(np.diag(h), 1.0, atol=tol):
-        raise ValueError("direct gains must be normalized to 1")
+def class_h1_membership(h) -> tuple[int, int] | None:
+    """Reduced fraction p/q with p != 0, |ratio - p/q| <= RATIO_TOL and
+    q <= RATIO_MAX_DEN, found by continued fractions, for the gain matrix h
+    as `ChannelMatrix3` judges it; None if no such approximation exists."""
+    h = ChannelMatrix3(h).h
     h01, h02, h10, h12, h20, h21 = off = [float(h[j, k]) for j in range(3) for k in range(3) if j != k]
     if 0.0 in off:
         raise ValueError("all off-diagonal gains must be nonzero")
-    # Python floats: a ratio leaving the float range gives inf or 0 without a numpy warning,
-    # and a gain that is inf or nan makes it inf or nan
+    # Python floats: a ratio leaving the float range gives inf or 0 without a numpy warning
     r = (h01 / h10) * (h12 / h21) * (h20 / h02)
     if not 0.0 < abs(r) < math.inf:
         raise ValueError(f"the cyclic gain ratio h12 h23 h31 / (h21 h32 h13) must be finite and nonzero, got {r!r}")
-    frac = Fraction(r).limit_denominator(max_den)
-    if frac.numerator != 0 and abs(r - float(frac)) <= tol:
+    frac = Fraction(r).limit_denominator(RATIO_MAX_DEN)
+    if frac.numerator != 0 and abs(r - float(frac)) <= RATIO_TOL:
         return frac.numerator, frac.denominator
     return None
 
 
 def channel_from_json(text: str) -> ChannelMatrix3:
-    """Load {"h": [[...]x3], "tol": float, "max_den": int} and attach the
+    """Load {"h": [[...]x3]}, a JSON object with no other key, and attach the
     membership witness if one exists."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("matrix file must hold a JSON object")
+    extra = sorted(set(doc) - {"h"})
+    if extra:
+        raise ValueError(f"matrix file may hold only 'h', got unknown keys {extra}")
     rows = doc.get("h")
     if not (isinstance(rows, list) and len(rows) == 3 and all(
         isinstance(row, list) and len(row) == 3 and all(finite_real(g) for g in row) for row in rows
     )):
         raise ValueError(f"'h' must be a 3x3 grid of finite numbers, got {rows!r}")
     h = np.array(rows, dtype=float)
-    witness = class_h1_membership(h, tol=doc.get("tol", DEFAULT_TOL), max_den=doc.get("max_den", DEFAULT_MAX_DEN))
-    return ChannelMatrix3(h, h1_witness=witness)
+    return ChannelMatrix3(h, h1_witness=class_h1_membership(h))
 
 
 def keyed_stream(master_seed, *key: int) -> np.random.Generator:
@@ -155,9 +151,11 @@ def transmit(
     """One channel use of n dimensions at all three receivers, with noise
     from the per-receiver streams `keyed_stream(noise_seed, j)`.
 
-    sigma2 is a test hook for the noise variance (default 1); sigma2=0
-    gives the noiseless linear map.
+    sigma2 is a test hook for the noise variance (default 1), refused unless
+    finite and >= 0; sigma2=0 gives the noiseless linear map.
     """
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2!r}")
     xs = [np.asarray(x, dtype=float) for x in (x1, x2, x3)]
     n = xs[0].shape[0]
     if any(x.shape != (n,) for x in xs):

@@ -147,6 +147,7 @@ class Lattice:
     def __post_init__(self):
         if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     @property
     def n(self) -> int:
@@ -157,29 +158,23 @@ class Lattice:
         return self.code.p
 
 
-def construction_a(code: LinearCode, gamma: float) -> Lattice:
-    return Lattice(code, float(gamma))
-
-
 def fundamental_volume(lat: Lattice) -> float:
     """Volume of the fundamental cell: gamma**n * p**(n-k)."""
     return lat.gamma ** lat.n * float(lat.p ** (lat.n - lat.code.k))
 
 
-def is_lattice_point(lat: Lattice, w, tol: float = 1e-9) -> bool:
-    """True iff w is within tol (inf-norm) of a lattice point.
+def is_lattice_point(lat: Lattice, w) -> bool:
+    """True iff w is within 1e-9 (inf-norm) of a lattice point.
 
-    Exact for tol < gamma/2; the rounded integer vector is the only
+    Exact for gamma > 2e-9; the rounded integer vector is the only
     candidate in that regime.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     w = np.asarray(w, dtype=float)
     if w.shape != (lat.n,):
         raise ValueError(f"dimension mismatch: {w.shape} vs ({lat.n},)")
     u = w / lat.gamma
     v = np.round(u).astype(np.int64)
-    if np.max(np.abs(w - lat.gamma * v)) > tol:
+    if np.max(np.abs(w - lat.gamma * v)) > 1e-9:
         return False
     return lat.code.contains(v % lat.p)
 
@@ -237,10 +232,6 @@ class Codebook:
     shift: np.ndarray
     words: np.ndarray  # shape (M, n)
     target_met: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", np.asarray(self.shift, dtype=float))
-        object.__setattr__(self, "words", np.asarray(self.words, dtype=float))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -30,7 +30,6 @@ from .lattice import (
     Codebook,
     Lattice,
     build_codebook,
-    construction_a,
     make_linear_code,
     nearest_points_batch,
     scale_lattice,
@@ -318,7 +317,7 @@ def _layer_lattices(cfg: SimConfig, powers: list[float], cand: int):
         pairs = _candidate_params(cfg.n, R)
         p, k = pairs[cand % len(pairs)]
         gamma = _cell_scale(cfg.n, P, R, p, k)
-        yield construction_a(make_linear_code(cfg.n, k, p, keyed_stream(cfg.master_seed, _CODE, cand, i)), gamma)
+        yield Lattice(make_linear_code(cfg.n, k, p, keyed_stream(cfg.master_seed, _CODE, cand, i)), gamma)
 
 
 def _search(cfg: SimConfig, powers: list[float], lattices, run) -> ErrorStats:

@@ -13,7 +13,7 @@ import pytest
 from latticeic.channel import ChannelMatrix3, class_h1_membership
 from latticeic.cli import EXIT_OK, main
 from latticeic.lattice import (
-    construction_a,
+    Lattice,
     count_points_in_box,
     fundamental_volume,
     is_lattice_point,
@@ -106,14 +106,14 @@ def test_criterion_4_lattice_property_suite():
         p = int(rng.choice([3, 5, 7]))
         k = int(rng.integers(0, n + 1))
         gamma = float(rng.uniform(0.3, 2.0))
-        lat = construction_a(make_linear_code(n, k, p, rng), gamma)
+        lat = Lattice(make_linear_code(n, k, p, rng), gamma)
         words = lat.code.codewords
         pts = lat.gamma * (
             words[rng.integers(0, len(words), size=100)]
             + lat.p * rng.integers(-4, 5, size=(100, n))
         )
         for x, y in zip(pts, pts[::-1]):
-            if not (is_lattice_point(lat, x + y, tol=1e-9) and is_lattice_point(lat, -x, tol=1e-9)):
+            if not (is_lattice_point(lat, x + y) and is_lattice_point(lat, -x)):
                 failures.append(f"closure broken (lattice {trial})")
                 break
         for _ in range(10):
@@ -141,7 +141,7 @@ def test_criterion_4_lattice_property_suite():
 def test_criterion_5_alignment_suite():
     failures = []
     rng = np.random.default_rng(55)
-    base = construction_a(make_linear_code(2, 1, 5, seed=0), 1.0)
+    base = Lattice(make_linear_code(2, 1, 5, seed=0), 1.0)
     for trial in range(20):
         p = int(rng.integers(1, 8))
         q = int(rng.integers(1, 8))
@@ -162,7 +162,7 @@ def test_criterion_5_alignment_suite():
                 failures.append(f"alignment residual at trial {trial}")
     for irr in (math.sqrt(2), math.sqrt(3), math.pi, math.e, math.sqrt(5)):
         h = np.array([[1.0, irr, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-        if class_h1_membership(h, tol=1e-9, max_den=1000) is not None:
+        if class_h1_membership(h) is not None:
             failures.append(f"irrational ratio {irr} accepted")
         else:
             try:

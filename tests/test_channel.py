@@ -38,9 +38,25 @@ class TestChannelMatrix:
         assert class_h1_membership(symmetric_channel(-1.0).h) == (1, 1)
 
     def test_rejects_non_unit_diagonal(self):
-        h = np.eye(3) * 2.0
-        with pytest.raises(ValueError):
-            ChannelMatrix3(h)
+        # the diagonal is 1 within 1e-12 absolute, with no relative slack
+        for d in (2.0, 1.0 + 1e-9, 1.0 - 1e-9):
+            with pytest.raises(ValueError, match="normalized to 1"):
+                ChannelMatrix3(np.eye(3) * d)
+        ChannelMatrix3(np.eye(3) * (1.0 + 1e-13))
+
+    def test_rejects_shape_other_than_3x3(self):
+        for h in (np.eye(2), np.eye(4), np.ones(9), np.eye(3)[None]):
+            with pytest.raises(ValueError, match="must be 3x3"):
+                ChannelMatrix3(h)
+
+    def test_rejects_nonfinite_gain(self):
+        for g in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gains must be finite"):
+                symmetric_channel(g)
+            with pytest.raises(ValueError, match="gains must be finite"):
+                ChannelMatrix3(matrix_with_cross(h23=g))
+            with pytest.raises(ValueError, match="gains must be finite"):
+                class_h1_membership(matrix_with_cross(h31=g))
 
     def test_rejects_unreduced_witness(self):
         with pytest.raises(ValueError):
@@ -59,17 +75,15 @@ class TestMembership:
     def test_irrational_ratio_rejected(self):
         r = math.sqrt(2.0)
         h = matrix_with_cross(h12=r)
-        assert class_h1_membership(h, tol=1e-9, max_den=1000) is None
-        # exhaustive oracle: no fraction with denominator <= 1000 is that close
-        best = min(abs(r - round(r * q) / q) for q in range(1, 1001))
+        assert class_h1_membership(h) is None
+        # exhaustive oracle: no fraction with denominator <= 10**4 is that close
+        best = min(abs(r - round(r * q) / q) for q in range(1, 10**4 + 1))
         assert best > 1e-9
 
     def test_ratio_near_zero_has_no_witness(self):
         # 1e-12 is within tol of 0/1, but a zero numerator makes an alignment factor zero
         for r in (1e-12, -1e-12, 1e-300):
             assert class_h1_membership(matrix_with_cross(h12=r)) is None
-        # a denominator large enough for the ratio still finds the nonzero witness
-        assert class_h1_membership(matrix_with_cross(h12=1e-12), tol=1e-15, max_den=10**13) == (1, 10**12)
 
     def test_zero_cross_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -96,8 +110,12 @@ class TestMembership:
         doc = {"h": matrix_with_cross(h12=2.0, h23=3.0).tolist()}
         ch = channel_from_json(json.dumps(doc))
         assert ch.h1_witness == (6, 1)
-        doc = {"h": matrix_with_cross(h12=math.sqrt(2.0)).tolist(), "max_den": 1000}
+        doc = {"h": matrix_with_cross(h12=math.sqrt(2.0)).tolist()}
         assert channel_from_json(json.dumps(doc)).h1_witness is None
+        # the file holds only h: the membership tolerances are fixed
+        for key in ("max_den", "tol", "note"):
+            with pytest.raises(ValueError, match="only 'h'"):
+                channel_from_json(json.dumps({**doc, key: 1000}))
 
 
 class TestAlignmentFactors:
@@ -139,6 +157,12 @@ class TestTransmit:
         ys = transmit(symmetric_channel(0.0), *xs, noise_seed=0, sigma2=0.0)
         for x, y in zip(xs, ys):
             assert np.array_equal(x, y)
+
+    def test_rejects_bad_sigma2(self):
+        x = np.ones(3)
+        for sigma2 in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+                transmit(symmetric_channel(2.0), x, x, x, noise_seed=0, sigma2=sigma2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

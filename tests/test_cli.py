@@ -293,6 +293,9 @@ class TestBadInputs:
         '{"h": ' + H + ', "tol": NaN}',
         '{"h": ' + H + ', "tol": -1}',
         '{"h": ' + H + ', "tol": "1e-9"}',
+        # the membership tolerances are fixed, and the file holds only h
+        '{"h": ' + H + ', "tol": 1e-9}',
+        '{"h": ' + H + ', "note": 1}',
         '{"h": [[1, Infinity, 2], [2, 1, 2], [2, 2, 1]]}',
         '{"h": [[1, NaN, 2], [2, 1, 2], [2, 2, 1]]}',
         '{"h": [[1, 2, 2], [2, 1, 2], [2, true, 1]]}',
@@ -306,8 +309,9 @@ class TestBadInputs:
         '{"h": [[1, 1, 1e300], [1e-300, 1, 1e300], [1, 1e300, 1]]}',
         '{not json',
     ], ids=["not-an-object", "max-den-inf", "max-den-bool", "max-den-zero", "max-den-float", "tol-nan",
-            "tol-negative", "tol-string", "gain-inf", "gain-nan", "gain-bool", "gain-huge-int", "h-not-3x3",
-            "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow", "not-json"])
+            "tol-negative", "tol-string", "tol-default", "unknown-key", "gain-inf", "gain-nan", "gain-bool",
+            "gain-huge-int", "h-not-3x3", "h-missing", "ratio-overflow", "ratio-underflow", "factor-overflow",
+            "not-json"])
     def test_bad_matrix_file(self, tmp_path, capsys, text):
         mat = tmp_path / "h.json"
         mat.write_text(text)
@@ -569,6 +573,16 @@ class TestOneParser:
     def test_not_built_at_import(self):
         code = "import latticeic.cli as c; print(c._parser.cache_info().currsize)"
         assert fresh_process(["-c", code]) == (0, "0\n", "")
+
+    def test_module_entry_point_exits_with_main_code(self, tmp_path):
+        # `python -m latticeic.cli` passes main's return code to the process
+        args = ["-m", "latticeic.cli", "dof-curve", "--a2-min", "1", "--a2-max", "2"]
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        assert fresh_process([*args, "--steps", "3", "--out", str(good)]) == (0, "", "")
+        assert good.exists()
+        rc, out, err = fresh_process([*args, "--steps", "1", "--out", str(bad)])
+        assert (rc, out) == (EXIT_VALIDATION, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert not bad.exists()
 
     def test_calls_behave_as_in_fresh_processes(self, monkeypatch, tmp_path, capsys):
         # a bad flag, --version, a good call and its replay, in one process and each in its own

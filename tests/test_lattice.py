@@ -17,10 +17,10 @@ from latticeic.lattice import (
     Lattice,
     LinearCode,
     build_codebook,
-    construction_a,
     count_points_in_box,
     fundamental_volume,
     is_lattice_point,
+    is_prime,
     make_linear_code,
     nearest_point,
     nearest_points_batch,
@@ -49,11 +49,11 @@ EXPLICIT_CODES = {
 
 
 def lat_5z2():
-    return construction_a(zero_code(2, 5), 1.0)
+    return Lattice(zero_code(2, 5), 1.0)
 
 
 def lat_gen12():
-    return construction_a(LinearCode(2, 1, 5, np.array([[1, 2]])), 1.0)
+    return Lattice(LinearCode(2, 1, 5, np.array([[1, 2]])), 1.0)
 
 
 def brute_nearest(lat, y):
@@ -89,7 +89,7 @@ def random_lattices(count, seed=0):
         p = int(rng.choice([3, 5, 7]))
         k = int(rng.integers(0, n + 1))
         gamma = float(rng.uniform(0.3, 2.0))
-        out.append(construction_a(make_linear_code(n, k, p, rng), gamma))
+        out.append(Lattice(make_linear_code(n, k, p, rng), gamma))
     return out
 
 
@@ -138,12 +138,29 @@ class TestLinearCode:
         assert np.array_equal(a.generators, b.generators)
 
     def test_rejects_nonprime_modulus(self):
-        with pytest.raises(ValueError):
-            make_linear_code(3, 1, 6, seed=0)
+        assert [p for p in range(-1, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        for p in (6, 9):
+            with pytest.raises(ValueError, match="is not prime"):
+                make_linear_code(3, 1, p, seed=0)
+            with pytest.raises(ValueError, match="is not prime"):
+                LinearCode(3, 1, p, np.array([[1, 0, 0]]))
 
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             make_linear_code(2, 3, 5, seed=0)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="need 0 <= k <= n"):
+                LinearCode(2, k, 5, np.eye(2))
+
+    def test_rejects_wrong_generator_shape(self):
+        for gens in (np.eye(2), np.ones((1, 3)), np.ones(2)):
+            with pytest.raises(ValueError, match="generator shape"):
+                LinearCode(2, 1, 5, gens)
+
+    def test_enumeration_limit(self):
+        code = LinearCode(7, 7, 13, np.eye(7))
+        with pytest.raises(ValueError, match="exceeds enumeration limit"):
+            code.codewords
 
     def test_rejects_dependent_generators(self):
         with pytest.raises(ValueError):
@@ -154,6 +171,9 @@ class TestLinearCode:
         members = {tuple(w) for w in code.codewords}
         for v in itertools.product(range(5), repeat=3):
             assert code.contains(np.array(v)) == (v in members)
+        for word in (np.zeros(2), np.zeros(4)):
+            with pytest.raises(ValueError, match="word length"):
+                code.contains(word)
 
 
 class TestConstructionA:
@@ -164,7 +184,7 @@ class TestConstructionA:
         assert not is_lattice_point(lat, (1, 0))
 
     def test_full_code_gives_all_integers(self):
-        lat = construction_a(full_code(2, 5), 1.0)
+        lat = Lattice(full_code(2, 5), 1.0)
         assert is_lattice_point(lat, (3, -7))
         assert not is_lattice_point(lat, (0.5, 0))
 
@@ -174,16 +194,20 @@ class TestConstructionA:
         assert is_lattice_point(lat, (6, 12))
         assert not is_lattice_point(lat, (6, 11))
 
+    def test_gamma_stored_as_python_float(self):
+        for gamma in (np.float64(0.7), np.float32(0.5), 2):
+            lat = Lattice(full_code(2, 5), gamma)
+            assert type(lat.gamma) is float and lat.gamma == float(gamma)
+        assert repr(Lattice(full_code(1, 5), np.float64(0.7))).endswith("gamma=0.7)")
+
     def test_rejects_nonpositive_gamma(self):
         for gamma in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="gamma must be positive and finite"):
-                construction_a(full_code(2, 5), gamma)
             with pytest.raises(ValueError, match="gamma must be positive and finite"):
                 Lattice(full_code(2, 5), gamma)
         # a scale factor that is not finite gives a non-finite gamma
         for c in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="gamma must be positive and finite"):
-                scale_lattice(construction_a(full_code(2, 5), 1.0), c)
+                scale_lattice(Lattice(full_code(2, 5), 1.0), c)
 
 
 class TestIsLatticePoint:
@@ -193,13 +217,13 @@ class TestIsLatticePoint:
 
     def test_tolerance_band(self):
         lat = lat_5z2()
-        assert is_lattice_point(lat, (5 + 1e-10, 0), tol=1e-9)
-        assert not is_lattice_point(lat, (5 + 1e-6, 0), tol=1e-9)
+        assert is_lattice_point(lat, (5 + 1e-10, 0))
+        assert not is_lattice_point(lat, (5 + 1e-6, 0))
 
 
 class TestNearestPoint:
     def test_integer_lattice_rounds_per_coordinate(self):
-        lat = construction_a(full_code(2, 5), 1.0)
+        lat = Lattice(full_code(2, 5), 1.0)
         assert np.array_equal(nearest_point(lat, (0.4, -0.7)), [0, -1])
 
     def test_tie_within_coset_takes_smaller_integer(self):
@@ -239,10 +263,10 @@ class TestNearestPoint:
 
 class TestFundamentalVolume:
     def test_integer_lattice(self):
-        assert fundamental_volume(construction_a(full_code(2, 5), 1.0)) == 1.0
+        assert fundamental_volume(Lattice(full_code(2, 5), 1.0)) == 1.0
 
     def test_scaled_coset_lattice(self):
-        lat = construction_a(LinearCode(2, 1, 5, np.array([[1, 2]])), 0.5)
+        lat = Lattice(LinearCode(2, 1, 5, np.array([[1, 2]])), 0.5)
         assert fundamental_volume(lat) == pytest.approx(1.25)
 
     def test_p_scaled_integer_lattice(self):
@@ -251,7 +275,7 @@ class TestFundamentalVolume:
 
 class TestBuildCodebook:
     def test_1d_integer_sphere(self):
-        lat = construction_a(full_code(1, 5), 1.0)
+        lat = Lattice(full_code(1, 5), 1.0)
         cb = build_codebook(lat, power=4.0, target_rate=1.0, shift=np.zeros(1))
         assert sorted(w[0] for w in cb.words) == [-2, -1, 0, 1, 2]
         assert cb.target_met
@@ -263,26 +287,26 @@ class TestBuildCodebook:
 
     def test_cardinality_tracks_volume_ratio(self):
         # V = 1.25, n = 2, P = 8: expected count ~ pi*n*P/V ~ 40.2
-        lat = construction_a(LinearCode(2, 1, 5, np.array([[1, 2]])), 0.5)
+        lat = Lattice(LinearCode(2, 1, 5, np.array([[1, 2]])), 0.5)
         cb = build_codebook(lat, power=8.0, target_rate=2.5, shift_trials=8, seed=0)
         assert 25 <= len(cb) <= 60
         assert cb.target_met  # 2**(2*2.5) = 32
 
     def test_power_constraint_exact(self):
-        lat = construction_a(make_linear_code(3, 2, 5, seed=2), 0.8)
+        lat = Lattice(make_linear_code(3, 2, 5, seed=2), 0.8)
         cb = build_codebook(lat, power=6.0, target_rate=0.5, shift_trials=4, seed=3)
         assert np.max(np.sum(cb.words**2, axis=1)) <= 3 * 6.0
 
     def test_words_pairwise_distinct(self):
-        lat = construction_a(make_linear_code(2, 1, 7, seed=6), 0.7)
+        lat = Lattice(make_linear_code(2, 1, 7, seed=6), 0.7)
         cb = build_codebook(lat, power=9.0, target_rate=0.5, shift_trials=4, seed=6)
         assert len(np.unique(np.round(cb.words, 9), axis=0)) == len(cb)
 
     def test_words_lie_on_shifted_lattice(self):
-        lat = construction_a(make_linear_code(2, 1, 5, seed=9), 0.9)
+        lat = Lattice(make_linear_code(2, 1, 5, seed=9), 0.9)
         cb = build_codebook(lat, power=7.0, target_rate=0.25, shift_trials=4, seed=9)
         for w in cb.words:
-            assert is_lattice_point(lat, w - cb.shift, tol=1e-9)
+            assert is_lattice_point(lat, w - cb.shift)
 
     def test_rejects_bad_args(self):
         lat = lat_5z2()
@@ -313,7 +337,7 @@ class TestBuildCodebook:
     ], ids=["trials8", "trials1", "trials3", "explicit-shift", "target-missed", "n6-trials8"])
     def test_pinned(self, case, digest):
         n, k, p, code_seed, gamma, power, rate, trials, seed, shift = case
-        lat = construction_a(make_linear_code(n, k, p, seed=code_seed), gamma)
+        lat = Lattice(make_linear_code(n, k, p, seed=code_seed), gamma)
         cb = build_codebook(lat, power, rate, shift_trials=trials, seed=seed, shift=shift)
         doc = json.dumps([cb.shift.tolist(), cb.words.tolist(), cb.target_met])
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
@@ -321,7 +345,7 @@ class TestBuildCodebook:
 
 class TestScaleLattice:
     def test_doubling_integer_lattice(self):
-        lat = scale_lattice(construction_a(full_code(2, 5), 1.0), 2.0)
+        lat = scale_lattice(Lattice(full_code(2, 5), 1.0), 2.0)
         assert is_lattice_point(lat, (2, -4))
         assert not is_lattice_point(lat, (1, 0))
 
@@ -337,7 +361,7 @@ class TestScaleLattice:
         scaled = scale_lattice(lat, -3.0)
         rng = np.random.default_rng(1)
         for lam in sample_lattice_points(lat, rng, 50):
-            assert is_lattice_point(scaled, -3.0 * lam, tol=1e-9)
+            assert is_lattice_point(scaled, -3.0 * lam)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -351,8 +375,8 @@ class TestLatticeProperties:
             a = sample_lattice_points(lat, rng, 100)
             b = sample_lattice_points(lat, rng, 100)
             for x, y in zip(a, b):
-                assert is_lattice_point(lat, x + y, tol=1e-9)
-                assert is_lattice_point(lat, -x, tol=1e-9)
+                assert is_lattice_point(lat, x + y)
+                assert is_lattice_point(lat, -x)
 
     def test_quantizer_idempotent(self):
         rng = np.random.default_rng(22)
@@ -384,7 +408,7 @@ class TestLatticeProperties:
         one_step = scale_lattice(lat, a * b)
         pts = sample_lattice_points(one_step, rng, 100)
         for y in pts:
-            assert is_lattice_point(two_step, y, tol=1e-9)
+            assert is_lattice_point(two_step, y)
         for y in rng.normal(scale=3, size=(100, 2)):
             assert is_lattice_point(two_step, y) == is_lattice_point(one_step, y)
 
@@ -475,7 +499,7 @@ MAX_REFERENCE_COSETS = 4000
 def reference_lattice(n, p, k, seed, gamma):
     while p**k > MAX_REFERENCE_COSETS:
         k -= 1
-    return construction_a(make_linear_code(n, k, p, seed), gamma)
+    return Lattice(make_linear_code(n, k, p, seed), gamma)
 
 
 lattice_params = dict(
@@ -520,7 +544,7 @@ class TestReferenceEquality:
     @pytest.mark.parametrize("name", EXPLICIT_CODES)
     def test_explicit_codes_enumerated_in_order(self, name):
         code = EXPLICIT_CODES[name]
-        lat = construction_a(code, 0.7)
+        lat = Lattice(code, 0.7)
         shifts = np.random.default_rng(len(name)).uniform(0, 0.7 * code.p, size=(3, code.n))
         best, got = _enumerate_shifted_spheres(lat, shifts, 4.0)
         want_best, want = reference_best(lat, shifts, 4.0)
@@ -529,14 +553,14 @@ class TestReferenceEquality:
         assert np.array_equal(got, want)
 
     def test_duplicated_shift_first_wins(self):
-        lat = construction_a(make_linear_code(3, 1, 5, seed=4), 0.9)
+        lat = Lattice(make_linear_code(3, 1, 5, seed=4), 0.9)
         shifts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
         best, got = _enumerate_shifted_spheres(lat, shifts, 5.0)
         assert best == 0
         assert np.array_equal(got, reference_enumeration(lat, shifts[0], 5.0))
 
     def test_empty_codebook(self):
-        lat = construction_a(make_linear_code(4, 2, 7, seed=3), 1.0)
+        lat = Lattice(make_linear_code(4, 2, 7, seed=3), 1.0)
         shifts = np.array([[3.5] * 4, [3.4] * 4, [3.6] * 4])
         best, got = _enumerate_shifted_spheres(lat, shifts, 1e-6)
         assert best == 0
@@ -544,7 +568,7 @@ class TestReferenceEquality:
         assert np.array_equal(got, reference_enumeration(lat, shifts[0], 1e-6))
 
     def test_split_blocks_match_unsplit(self, monkeypatch):
-        lat = construction_a(make_linear_code(3, 1, 5, seed=4), 0.9)
+        lat = Lattice(make_linear_code(3, 1, 5, seed=4), 0.9)
         a, b = np.random.default_rng(5).uniform(0, 0.9 * 5, size=(2, 3))
         # the winner's copy in the second half ties with it
         shifts = np.array([a, b, a, b])
@@ -566,7 +590,7 @@ class TestReferenceEquality:
     def test_cap_below_one_shifts_cosets(self, monkeypatch):
         # the trie never holds all p**k cosets of a shift at once, so a cap
         # below them still builds the codebook
-        lat = construction_a(make_linear_code(4, 3, 7, seed=1), 1.0)
+        lat = Lattice(make_linear_code(4, 3, 7, seed=1), 1.0)
         shifts = np.random.default_rng(1).uniform(0, 7.0, size=(3, 4))
         peak = max(int(reference_trie_sizes(lat, s, 2.0).max()) for s in shifts)
         assert peak < len(lat.code.codewords)
@@ -579,13 +603,13 @@ class TestReferenceEquality:
     def test_fan_out_cap(self, monkeypatch):
         # a pivot's fan-out into p residues is refused before it is allocated,
         # though only 3 of its 13 residues have a point in the sphere
-        lat = construction_a(EXPLICIT_CODES["n1"], 1.0)
+        lat = Lattice(EXPLICIT_CODES["n1"], 1.0)
         monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", 12)
         with pytest.raises(ValueError, match="over 12 candidate points"):
             _enumerate_shifted_spheres(lat, np.zeros((1, 1)), 1.0)
 
     def test_point_cap(self):
-        lat = construction_a(zero_code(4, 2), 0.01)
+        lat = Lattice(zero_code(4, 2), 0.01)
         # one shift past the cap, alone or after the block is split
         for trials in (1, 3):
             with pytest.raises(ValueError, match=str(MAX_SPHERE_POINTS)):

@@ -93,6 +93,8 @@ class TestLayeredAllocation:
     def test_band_rejected(self):
         with pytest.raises(AllocationError):
             layered_allocation_symmetric(1.0, 2)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            layered_allocation_symmetric(3.0, 0)
 
     def test_ladder_regimes_and_bounds(self):
         assert _ladder(3.0) == ("strong", 2.0, 15.0, 2.0)
@@ -147,6 +149,8 @@ class TestThresholdPower:
     def test_band_rejected(self):
         with pytest.raises(AllocationError):
             threshold_power(1.0, 1)
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            threshold_power(3.0, -1)
 
 
 class TestSymRateLattice:
@@ -511,6 +515,8 @@ class TestNonsymAllocation:
     def test_rejects_weak_gains(self):
         with pytest.raises(AllocationError):
             nonsym_layered_allocation(1.0, 2.0, 2.0, 1)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            nonsym_layered_allocation(2.0, 2.0, 2.0, 0)
 
 
 class TestDofNonsym:

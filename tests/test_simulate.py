@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import latticeic.simulate
 from latticeic.channel import ChannelMatrix3, symmetric_channel
-from latticeic.lattice import build_codebook, construction_a, is_lattice_point, make_linear_code, scale_lattice
+from latticeic.lattice import Lattice, build_codebook, is_lattice_point, make_linear_code, scale_lattice
 from latticeic.simulate import (
     MAX_SQUARED_DISTANCE,
     ConfigError,
@@ -550,14 +550,14 @@ class TestDistinctRows:
 
 class TestAlignment:
     def test_symmetric_channel_aligns_trivially(self):
-        base = construction_a(make_linear_code(2, 1, 5, seed=1), 0.7)
+        base = Lattice(make_linear_code(2, 1, 5, seed=1), 0.7)
         l1, l2, l3 = align_interference_lattices(symmetric_channel(2.0), base)
         assert l1.gamma == l2.gamma == l3.gamma == base.gamma
 
     def test_scale_factors_satisfy_all_three_equalities(self):
         h = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
         ch = ChannelMatrix3(h, h1_witness=(6, 1))
-        base = construction_a(make_linear_code(2, 1, 5, seed=2), 1.0)
+        base = Lattice(make_linear_code(2, 1, 5, seed=2), 1.0)
         l1, l2, l3 = align_interference_lattices(ch, base)
         f1, f2, f3 = l1.gamma, l2.gamma, l3.gamma
         assert abs(h[0, 1]) * f2 == pytest.approx(6 * abs(h[0, 2]) * f3, rel=1e-12)
@@ -566,7 +566,7 @@ class TestAlignment:
 
     def test_random_witnessed_matrices_align(self):
         rng = np.random.default_rng(6)
-        base = construction_a(make_linear_code(2, 1, 5, seed=3), 1.0)
+        base = Lattice(make_linear_code(2, 1, 5, seed=3), 1.0)
         for _ in range(20):
             p = int(rng.integers(1, 7))
             q = int(rng.integers(1, 7))
@@ -581,7 +581,7 @@ class TestAlignment:
 
     def test_missing_witness_rejected(self):
         ch = ChannelMatrix3(symmetric_channel(2.0).h)
-        base = construction_a(make_linear_code(2, 1, 5, seed=4), 1.0)
+        base = Lattice(make_linear_code(2, 1, 5, seed=4), 1.0)
         with pytest.raises(ValueError):
             align_interference_lattices(ch, base)
 
@@ -589,7 +589,7 @@ class TestAlignment:
         # true ratio is 6; witness (2, 1) breaks the third equality
         h = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
         ch = ChannelMatrix3(h, h1_witness=(2, 1))
-        base = construction_a(make_linear_code(2, 1, 5, seed=5), 1.0)
+        base = Lattice(make_linear_code(2, 1, 5, seed=5), 1.0)
         with pytest.raises(ValueError):
             align_interference_lattices(ch, base)
 
@@ -597,14 +597,14 @@ class TestAlignment:
         # the sum of two shifted codewords, minus both shifts, stays on the
         # lattice, so the scaled aggregate lies on the scaled lattice
         a = 2.0
-        lat = construction_a(make_linear_code(3, 2, 5, seed=7), 0.8)
+        lat = Lattice(make_linear_code(3, 2, 5, seed=7), 0.8)
         cb = build_codebook(lat, power=6.0, target_rate=0.25, shift_trials=4, seed=7)
         rng = np.random.default_rng(8)
         lat_a = scale_lattice(lat, a)
         for _ in range(50):
             w2, w3 = cb.words[rng.integers(0, len(cb), size=2)]
-            assert is_lattice_point(lat, w2 + w3 - 2 * cb.shift, tol=1e-9)
-            assert is_lattice_point(lat_a, a * (w2 + w3 - 2 * cb.shift), tol=1e-9)
+            assert is_lattice_point(lat, w2 + w3 - 2 * cb.shift)
+            assert is_lattice_point(lat_a, a * (w2 + w3 - 2 * cb.shift))
 
 
 # Short runs covering every scheme and both interference decoders.
