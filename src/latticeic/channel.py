@@ -30,11 +30,12 @@ class ChannelMatrix3:
     h1_witness: tuple[int, int] | None = None
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.asarray(self.h, dtype=object)
         if h.shape != (3, 3):
             raise ValueError(f"channel matrix must be 3x3, got {h.shape}")
-        if not np.isfinite(h).all():
-            raise ValueError("channel gains must be finite")
+        if not all(finite_real(g) for g in h.flat):
+            raise ValueError("channel gains must be finite real numbers, not bools")
+        h = h.astype(float)
         if not np.allclose(np.diag(h), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("direct gains must be normalized to 1")
         object.__setattr__(self, "h", h)

@@ -128,6 +128,8 @@ def _triple(name: str, text: str) -> list[float]:
 
 
 def cmd_align_check(args) -> tuple[str, dict]:
+    if args.noises is not None and args.powers is None:
+        raise ConfigError("--noises needs --powers: the noises enter only the very-strong check")
     powers = None if args.powers is None else _triple("powers", args.powers)
     noises = _triple("noises", args.noises or "1,1,1")
     text = Path(args.matrix_file).read_text()
@@ -161,7 +163,9 @@ def cmd_simulate(args) -> tuple[str, dict]:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    doc.setdefault("master_seed", args.seed)
+    if args.seed is not None and "master_seed" in doc:
+        raise ConfigError("the seed is set twice: give --seed or the config's master_seed, not both")
+    doc.setdefault("master_seed", args.seed or 0)
     try:
         cfg = SimConfig(**doc)
     except TypeError as exc:  # a required field is missing
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run from a JSON config")
     common(p)
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed of a config without master_seed")
+    p.add_argument("--seed", type=int, default=None, help="master RNG seed of a config without master_seed (default 0)")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_simulate)
 

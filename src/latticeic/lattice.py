@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .channel import finite_real
+
 # Exhaustive decoding scans one candidate per codeword coset; this caps the
 # supported desk scale (n <= 10, p <= 13 with moderate k).
 MAX_COSETS = 2_000_000
@@ -145,7 +147,7 @@ class Lattice:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < math.inf:
+        if not (finite_real(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         object.__setattr__(self, "gamma", float(self.gamma))
 

@@ -9,6 +9,7 @@ runs are reproducible and trials can be distributed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -62,9 +63,9 @@ _MAX_COSETS = 100_000
 
 
 # the fields with a default that each scheme reads; every scheme reads the required fields
-_READS = {scheme: {"sigma2", "search_budget", "shift_trials", *fields} for scheme, fields in (
-    ("p2p", ["power"]), ("very-strong-sym", ["power", "a", "genie"]), ("layered-sym", ["a", "N", "genie"]),
-    ("very-strong-general", ["h", "powers", "sigma2s", "genie"]))}
+_READS = {scheme: {"search_budget", "shift_trials", *fields} for scheme, fields in (
+    ("p2p", ["power", "sigma2"]), ("very-strong-sym", ["power", "sigma2", "a", "genie"]),
+    ("layered-sym", ["sigma2", "a", "N", "genie"]), ("very-strong-general", ["h", "powers", "sigma2s", "genie"]))}
 
 
 class ConfigError(ValueError):
@@ -100,7 +101,7 @@ class SimConfig:
     master_seed: int
     rates: list[float]
     power: float | None = None
-    sigma2: float = 1.0
+    sigma2: float = 1.0  # p2p and the symmetric schemes
     a: float | None = None
     N: int = 1
     h: list[list[float]] | None = None
@@ -111,17 +112,18 @@ class SimConfig:
     genie: bool = False
 
     def validate(self):
-        """Refuse every config that a scheme rule forbids and return the plan
-        its driver runs: its layer powers [power] for p2p, (layer powers, stage
-        order) for the symmetric schemes, (channel, per-receiver noise, condition
-        set, alignment factor magnitudes) for very-strong-general."""
+        """Refuse every config that a scheme rule forbids and return its run:
+        the scheme's driver bound to what it reads, its layer powers [power] for
+        p2p, the layer powers and stage order for the symmetric schemes, and the
+        channel, per-receiver noise, condition set and alignment factor
+        magnitudes for very-strong-general."""
         # annotations are strings here (postponed evaluation), e.g. "float | None"
         for f in dataclasses.fields(self):
             kind, _, optional = f.type.partition(" | ")
             value = getattr(self, f.name)
             if not (value is None and optional) and not _conforms(value, kind):
                 raise ConfigError(f"config field {f.name!r} must be {f.type} (finite, not bool), got {value!r}")
-        if self.scheme not in _DRIVERS:
+        if self.scheme not in _READS:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         for f in dataclasses.fields(self):  # a field with a default, set to another value, that the scheme ignores
             if f.default not in (dataclasses.MISSING, getattr(self, f.name)) and f.name not in _READS[self.scheme]:
@@ -154,17 +156,17 @@ class SimConfig:
                 raise ConfigError(f"{self.scheme} requires gain a")
             a2 = squared_gain("config field 'a'", self.a)
         # Each scheme's powers: user 1's layers (shared by every user of a symmetric scheme), or each user's.
-        # Noiseless hooks (sigma2 < 1) test mechanics only: regime conditions use the noise floor max(sigma2, 1)
+        # Noiseless hooks (a noise below 1) test mechanics only: regime conditions use the noise floor max(noise, 1)
         if self.scheme == "p2p":
             powers = [self.power]
             self._check_layers(powers, [1.0], [powers], self.sigma2)  # no interferers
-            plan = powers
+            run = functools.partial(_simulate_point_to_point, self, powers)
         elif self.scheme == "very-strong-sym":
             powers = [self.power]
             self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
             if very_strong_general(symmetric_channel(self.a), [self.power] * 3, [max(self.sigma2, 1.0)] * 3) is None:
                 raise ConfigError("very-strong condition a^2 >= P/sigma2 + 1 violated")
-            plan = powers, _STRONG_ORDER
+            run = functools.partial(_simulate_symmetric, self, powers, _STRONG_ORDER)
         elif self.scheme == "layered-sym":
             if not 1 <= self.N <= 3:
                 raise ConfigError("layered-sym supports 1 <= N <= 3")
@@ -182,7 +184,7 @@ class SimConfig:
             for i, r in enumerate(self.rates):
                 if r > ceil[i] + 1e-12:
                     raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}")
-            plan = powers, order
+            run = functools.partial(_simulate_symmetric, self, powers, order)
         else:
             if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
                 raise ConfigError("very-strong-general requires 3 positive powers")
@@ -193,12 +195,12 @@ class SimConfig:
                 factors = [abs(f) for f in alignment_factors(ch)]
             except ValueError as exc:
                 raise ConfigError(f"very-strong-general: {exc}") from exc
-            powers, noise = self.powers, self.sigma2s or [self.sigma2] * 3
+            powers, noise = self.powers, self.sigma2s or [1.0] * 3
             self._check_layers(powers, self.h[0], [[P] for P in powers], noise[0])
             check = very_strong_general(ch, powers, [max(s, 1.0) for s in noise])
             if check is None:
                 raise ConfigError("no very-strong condition set holds for this config")
-            plan = ch, noise, check[1], factors
+            run = functools.partial(_simulate_very_strong_general, self, ch, noise, check[1], factors)
         # each layer's or user's lattice is scaled to its shaping-sphere volume per codeword, whose quotient
         # by a candidate's p^(n-k) <= 13^(n-1) cosets must stay positive and finite
         for P, R in zip(powers, self.rates):
@@ -206,7 +208,7 @@ class SimConfig:
                 raise ConfigError(
                     f"n={self.n}, rate={R!r}, power={P!r}: the shaping-sphere volume per codeword leaves the float range"
                 )
-        return plan
+        return run
 
     def _check_layers(self, powers: list[float], gains, layers, noise: float):
         """Refuse rates other than one per entry of `powers`, and decoder distances that could pass
@@ -499,7 +501,7 @@ def _simulate_point_to_point(cfg: SimConfig, powers: list[float]) -> ErrorStats:
     return _search(cfg, powers, lambda cand: _layer_lattices(cfg, powers, cand), run)
 
 
-def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]]) -> ErrorStats:
+def _simulate_symmetric(cfg: SimConfig, powers: list[float], order: tuple[str, str]) -> ErrorStats:
     """Symmetric run: every user sends one word per layer from the layer's
     shared codebook, and receiver 1 decodes layer by layer.
 
@@ -508,7 +510,6 @@ def _simulate_symmetric(cfg: SimConfig, plan: tuple[list[float], tuple[str, str]
     interference before the message at every stage, the weak regime the
     reverse.
     """
-    powers, order = plan
     a = float(cfg.a)
 
     def run(cand, books):
@@ -545,10 +546,10 @@ def align_interference_lattices(ch: ChannelMatrix3, base: Lattice) -> tuple[Latt
     return tuple(scale_lattice(base, f) for f in alignment_factors(ch))
 
 
-def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
+def _simulate_very_strong_general(cfg: SimConfig, ch: ChannelMatrix3, noise: list[float], condition_set: int,
+                                  factors: list[float]) -> ErrorStats:
     """Nonsymmetric single-layer run at receiver 1 with aligned per-user
     lattices; interference decoded as one aggregate point on h13*L3."""
-    ch, noise, condition_set, factors = plan
     h, n, T = ch.h, cfg.n, cfg.trials
     pairs = _candidate_params(n, max(cfg.rates))
 
@@ -577,17 +578,7 @@ def _simulate_very_strong_general(cfg: SimConfig, plan: tuple) -> ErrorStats:
     return _search(cfg, cfg.powers, lattices, run)
 
 
-# each scheme driver takes a validated config and the plan its validation returned
-_DRIVERS = {
-    "p2p": _simulate_point_to_point,
-    "very-strong-sym": _simulate_symmetric,
-    "layered-sym": _simulate_symmetric,
-    "very-strong-general": _simulate_very_strong_general,
-}
-
-
 def run_simulation(cfg: SimConfig) -> ErrorStats:
-    """The one way to run a simulation: validate the config once, then run
-    its scheme's driver on the plan the validation returned."""
-    plan = cfg.validate()
-    return _DRIVERS[cfg.scheme](cfg, plan)
+    """The one way to run a simulation: validate the config once, then call
+    the run it returns, its scheme's driver bound to what that driver reads."""
+    return cfg.validate()()

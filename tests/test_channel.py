@@ -57,6 +57,12 @@ class TestChannelMatrix:
                 ChannelMatrix3(matrix_with_cross(h23=g))
             with pytest.raises(ValueError, match="gains must be finite"):
                 class_h1_membership(matrix_with_cross(h31=g))
+        # strings were parsed and bools read as 0 or 1
+        strings = [["1", "2", "2"], ["2", "1", "2"], ["2", "2", "1"]]
+        bools = [[True, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]
+        for h in (strings, bools, [[1.0, False, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]]):
+            with pytest.raises(ValueError, match="gains must be finite real numbers, not bools"):
+                ChannelMatrix3(h)
 
     def test_rejects_unreduced_witness(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -278,6 +279,12 @@ class TestBadInputs:
         ]
         self.assert_validation_error(argv, capsys)
 
+    def test_align_check_noises_without_powers(self, tmp_path, capsys):
+        # the noises enter only the very-strong check, which runs on --powers: they were ignored
+        mat = self.write_matrix(tmp_path)
+        argv = ["align-check", "--matrix-file", str(mat), "--noises", "5,5,5", "--out", str(tmp_path / "r.json")]
+        self.assert_validation_error(argv, capsys)
+
     def test_missing_matrix_file(self, tmp_path, capsys):
         argv = ["align-check", "--matrix-file", str(tmp_path / "absent.json"), "--out", str(tmp_path / "r.json")]
         self.assert_validation_error(argv, capsys)
@@ -400,6 +407,17 @@ class TestBadInputs:
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: master_seed must be nonnegative\n"
         assert not (tmp_path / "run.jsonl").exists()
+
+    def test_seed_flag_and_master_seed_refused(self, tmp_path, capsys):
+        # the config's master_seed used to win silently over the flag that the manifest's argv records
+        cfg = self.write_config(tmp_path, dict(scheme="p2p", n=4, trials=100, master_seed=7, rates=[0.5], power=3.0))
+        argv = ["simulate", "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "run.jsonl")]
+        self.assert_validation_error(argv, capsys)
+
+    def test_seedless_config_without_flag_runs_seed_zero(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, SEEDLESS_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.jsonl")]) == EXIT_OK
+        assert json.loads((tmp_path / "run.jsonl").read_text())["seed"] == 0
 
     def test_codebook_volume_overflow_names_inputs(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, dict(scheme="p2p", n=2, trials=100, master_seed=0, rates=[512], power=3.0))
@@ -727,6 +745,15 @@ def test_seed_flag_is_simulate_only(argv, capsys):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_configs_validate():
+    """Every JSON block of the README is a simulation config that validates,
+    so a doc example cannot use a refused field."""
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        SimConfig(**json.loads(block)).validate()
 
 
 def test_readme_cli_examples_parse():

@@ -201,7 +201,8 @@ class TestConstructionA:
         assert repr(Lattice(full_code(1, 5), np.float64(0.7))).endswith("gamma=0.7)")
 
     def test_rejects_nonpositive_gamma(self):
-        for gamma in (0.0, -1.0, math.nan, math.inf):
+        # True was read as 1.0 and '2' raised TypeError
+        for gamma in (0.0, -1.0, math.nan, math.inf, True, "2", None):
             with pytest.raises(ValueError, match="gamma must be positive and finite"):
                 Lattice(full_code(2, 5), gamma)
         # a scale factor that is not finite gives a non-finite gamma

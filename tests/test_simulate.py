@@ -237,6 +237,11 @@ class TestConfigValidation:
                      "p2p does not read 'genie'", id="p2p-genie"),
         pytest.param(vs_config(N=2), "very-strong-sym does not read 'N'", id="very-strong-sym-N"),
         pytest.param(vsg_config(a=2.0), "very-strong-general does not read 'a'", id="very-strong-general-a"),
+        # sigma2s = [sigma2] * 3 says the same, so a second noise field could only lose silently
+        pytest.param(vsg_config(sigma2=2.0), "very-strong-general does not read 'sigma2'",
+                     id="very-strong-general-sigma2"),
+        pytest.param(vsg_config(sigma2=5.0, sigma2s=[1.0] * 3), "very-strong-general does not read 'sigma2'",
+                     id="very-strong-general-sigma2-and-sigma2s"),
         # seeds -1 and 2**63 - 1 once shared every draw
         pytest.param(vs_config(master_seed=-1), "master_seed must be nonnegative", id="negative-seed"),
     ])
@@ -258,8 +263,9 @@ class TestConfigValidation:
         run_simulation(cfg)
         assert calls == [cfg]
 
-    # very-strong-general reads sigma2 as the fallback for sigma2s
-    @pytest.mark.parametrize("cfg", [vsg_config(sigma2=2.0), vsg_config(sigma2s=[1.0, 2.0, 3.0])],
+    # very-strong-general reads its noise from sigma2s alone; a config that spells
+    # out sigma2 at its default of 1 sets nothing, so it still validates
+    @pytest.mark.parametrize("cfg", [vsg_config(sigma2=1.0, sigma2s=[2.0] * 3), vsg_config(sigma2s=[1.0, 2.0, 3.0])],
                              ids=["sigma2", "sigma2s"])
     def test_general_noise_fields_accepted(self, cfg):
         cfg.validate()
@@ -399,7 +405,7 @@ class TestSchemes:
             rates=[0.3] * 3,
             powers=[3.0] * 3,
             h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]],
-            sigma2=1e-6,
+            sigma2s=[1e-6] * 3,
             search_budget=4,
         )
         stats = run_simulation(cfg)
@@ -420,6 +426,25 @@ class TestSchemes:
         )
         with pytest.raises(ConfigError):
             run_simulation(cfg)
+
+
+def sphere_bound(n: int, power: float, rate: float, sigma2: float) -> float:
+    """Pr(chi2_n > n P / (sigma2 4^R)) for even n: the probability that the noise leaves a ball
+    of the Voronoi cell's volume, which `_cell_scale` sets to the shaping-sphere volume per
+    codeword, so a lower bound on a full-lattice decoder's block error."""
+    half = n * power / (sigma2 * 4.0**rate) / 2.0
+    return math.exp(-half) * sum(half**j / math.factorial(j) for j in range(n // 2))
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_p2p_respects_sphere_bound(n, sigma2):
+    """No p2p run reports a Wilson upper bound below the sphere bound, a
+    converse that no lattice decoder beats; a run whose noise falls short of
+    sigma2 would."""
+    cfg = SimConfig(scheme="p2p", n=n, trials=1000, master_seed=n, rates=[1.0], power=15.0, sigma2=sigma2,
+                    search_budget=2)
+    assert run_simulation(cfg).wilson_interval[1] >= sphere_bound(n, 15.0, 1.0, sigma2)
 
 
 class TestRestrictedDecoder:
