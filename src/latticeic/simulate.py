@@ -30,7 +30,9 @@ from .channel import (
 from .lattice import (
     Codebook,
     Lattice,
+    _enumerate_shifted_spheres,
     build_codebook,
+    fundamental_volume,
     make_linear_code,
     nearest_points_batch,
     scale_lattice,
@@ -422,6 +424,77 @@ def _nearest_on_lattice(lat: Lattice, shift: np.ndarray, ys: np.ndarray) -> np.n
     return _chunked(lambda block: nearest_points_batch(lat, block - shift) + shift, ys, len(lat.code.codewords))
 
 
+def _voronoi_errors(lat: Lattice, shift: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bit for bit _rows_differ(_nearest_on_lattice(lat, shift, y), x), for
+    rows x that are points of the lattice moved by `shift`, decoding only the
+    rows that a test of the Voronoi cell cannot settle.
+
+    In lattice units the coset table decodes u = (y - shift)/gamma, and x is
+    k = rint((x - shift)/gamma), exactly: the shaping trie lists at most
+    MAX_SPHERE_POINTS values of a coordinate, so |x - shift|/gamma stays far
+    below 2^50. With e = u - k, the table returns k iff no lattice vector
+    v != 0 has margin |v|^2 - 2 e.v < 0, i.e. iff the noise stays in k's
+    Voronoi cell (Agrell, Eriksson, Vardy & Zeger 2002), and every v with
+    |v|^2 >= 4|e|^2 + 2B has margin > B. The shaping trie lists the short
+    vectors of the unit-scale lattice once, and the rows, sorted by |e|, take
+    one BLAS product per block against the vectors below the block's largest
+    4|e|^2 + 3B.
+
+    Band, with R = max|u_i| + |e| + p: the table's coset distances are within
+    (n+2) eps/2 of their sums of squares, plus 2 eps p |u_i - r| for each
+    coordinate where rounding may move its nearest integer in r + pZ across a
+    midpoint, so the table keeps k where the true margin is above
+    (3n+3) eps R^2 and leaves it where the margin is below minus that. The
+    margin computed here is within (n+3) eps (|e||v| + |v|^2) <= 7 (n+3) eps R^2
+    of the true one. Each adds at most `tiny` per product that underflows. A
+    row goes to `_nearest_on_lattice` if its smallest margin lies within
+    B = 4 (n+4)^2 (eps R^2 + tiny) of 0, exact ties included, or if its
+    4|e|^2 + 3B passes the squared radius of the ball that holds p^k lattice
+    points on average, so no row costs more than the coset scan. A kept row
+    decodes to gamma*k + shift, computed here as the table computes it. A
+    left row decodes to some k' != k with |k' - u| <= |e|, which differs from
+    x by at least gamma (1 - 12 eps R) > gamma (1 - B) in some coordinate: it
+    is an error if that passes _MATCH_TOL, and is decoded otherwise."""
+    n, p = lat.n, lat.p
+    u = (y - shift) / lat.gamma
+    k = np.rint((x - shift) / lat.gamma)
+    e = u - k
+    ee = np.einsum("ij,ij->i", e, e)
+    reach = np.abs(u).max(axis=1) + np.sqrt(ee) + p
+    band = 4 * (n + 4) ** 2 * (_EPS * reach * reach + _TINY)
+    need = 4 * ee + 3 * band
+    unit = Lattice(lat.code, 1.0)
+    cap = (p**lat.code.k * fundamental_volume(unit) * math.gamma(n / 2 + 1) / math.pi ** (n / 2)) ** (2 / n)
+    rows = np.flatnonzero(need <= cap)
+    rows = rows[np.argsort(need[rows], kind="stable")]
+    verdict = np.zeros(len(y), dtype=np.int8)  # 1 kept, -1 left, 0 undecided
+    if rows.size:
+        # squared norms are integers, so the trie at need + 1 lists every v with |v|^2 < need
+        _, vecs = _enumerate_shifted_spheres(unit, np.zeros((1, n)), (need[rows[-1]] + 1.0) / n)
+        vv = np.einsum("ij,ij->i", vecs, vecs)
+        by = np.argsort(vv, kind="stable")[1:]  # drops the zero vector
+        neg2, vv = -2.0 * vecs[by], vv[by]
+        counts = np.searchsorted(vv, need[rows])  # each row's prefix of the vectors
+        lo = 0
+        while lo < len(rows):
+            # a block holds the rows whose prefix is at most twice its first row's, so no row does
+            # more than twice its own work, and `_chunked`'s budget bounds its product
+            top = 2 * max(1, counts[lo])
+            hi = min(np.searchsorted(counts, top, side="right"), lo + max(1, _DECODE_BATCH_ELEMS // (n * top)))
+            blk, m = rows[lo:hi], counts[hi - 1]
+            d = e[blk] @ neg2[:m].T
+            d += vv[:m]
+            low = d.min(axis=1, initial=np.inf)
+            verdict[blk] = (low > band[blk]).astype(np.int8) - (low < -band[blk])
+            lo = hi
+    kept = verdict > 0
+    bad = (verdict < 0) & (lat.gamma * (1.0 - band) > _MATCH_TOL)
+    rest = ~(kept | bad)
+    bad[kept] = _rows_differ(lat.gamma * k[kept] + shift, x[kept])
+    bad[rest] = _rows_differ(_nearest_on_lattice(lat, shift, y[rest]), x[rest])
+    return bad
+
+
 def _pair_sums(words: np.ndarray, scale: float) -> np.ndarray | None:
     """`scale` times the distinct values of w_j + w_k over unordered pairs
     with repetition, or None when the sumset is too large to enumerate."""
@@ -483,9 +556,12 @@ def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, 
 
 
 def _simulate_point_to_point(cfg: SimConfig, powers: list[float]) -> ErrorStats:
-    """Single-user AWGN run: y = x + z, nearest-point decoding on the shifted
-    lattice, an error wherever the decode is not the sent codeword (so also
-    wherever it leaves the shaping sphere); best-of-budget lattice selection."""
+    """Single-user AWGN run: y = x + z, an error wherever nearest-point
+    decoding on the shifted lattice misses the sent codeword (so also wherever
+    it leaves the shaping sphere); best-of-budget lattice selection. The
+    errors are counted by `_voronoi_errors`: a row errs iff z leaves the sent
+    point's Voronoi cell, and only the rows that test cannot settle are
+    decoded over every coset."""
 
     def run(cand, books):
         cb = books[0]
@@ -494,8 +570,7 @@ def _simulate_point_to_point(cfg: SimConfig, powers: list[float]) -> ErrorStats:
         z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=x.shape)
         # no interferers: the receiver model reduces to y = x + z
         y = x + math.sqrt(cfg.sigma2) * z
-        dec = _nearest_on_lattice(cb.lattice, cb.shift, y)
-        errors = int(_rows_differ(dec, x).sum())
+        errors = int(_voronoi_errors(cb.lattice, cb.shift, x, y).sum())
         return ErrorStats(cfg.trials, [0], [errors], errors, {"layers": _layers_meta(books)})
 
     return _search(cfg, powers, lambda cand: _layer_lattices(cfg, powers, cand), run)

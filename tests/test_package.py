@@ -41,13 +41,14 @@ def test_tracer_installs_and_uninstalls(tmp_path):
 
 
 def tiny_requests(tmp_path):
-    """One p2p simulation (lattice, simulate) and one band rate sweep (the HK baseline)."""
-    config = tmp_path / "p2p.json"
-    config.write_text(json.dumps(dict(
-        scheme="p2p", n=4, trials=100, master_seed=1, rates=[0.25], power=3.0, search_budget=2, shift_trials=1,
-    )))
+    """Two p2p simulations (lattice, simulate), the second so noisy that every row passes the Voronoi
+    test's cap and reaches the full-lattice decoder, and one band rate sweep (the HK baseline)."""
+    p2p = dict(scheme="p2p", n=4, trials=100, master_seed=1, rates=[0.25], power=3.0, search_budget=2, shift_trials=1)
+    for name, sigma2 in (("p2p", 1.0), ("p2p-noisy", 1000.0)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(p2p, sigma2=sigma2)))
     return [
-        ["simulate", "--config", str(config), "--out", str(tmp_path / "p2p.jsonl")],
+        *(["simulate", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / f"{name}.jsonl")]
+          for name in ("p2p", "p2p-noisy")),
         ["sym-rate-compare", "--a", "1.0", "--p-min", "1", "--p-max", "10", "--steps", "2", "--grid-size", "11",
          "--out", str(tmp_path / "band.csv")],
     ]
@@ -80,5 +81,6 @@ def test_tracer_counters_read_their_arguments(tmp_path, monkeypatch):
         return stats
 
     monkeypatch.setattr(latticeic.cli, "run_simulation", capture)
-    assert latticeic.cli.main(tiny_requests(tmp_path)[0]) == 0
-    assert blocks == [traced["simulate.blocks"]]
+    for argv in tiny_requests(tmp_path)[:2]:
+        assert latticeic.cli.main(argv) == 0
+    assert len(blocks) == 2 and sum(blocks) == traced["simulate.blocks"]

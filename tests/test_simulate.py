@@ -14,19 +14,30 @@ from hypothesis import strategies as st
 
 import latticeic.simulate
 from latticeic.channel import ChannelMatrix3, symmetric_channel
-from latticeic.lattice import Lattice, build_codebook, is_lattice_point, make_linear_code, scale_lattice
+from latticeic.lattice import (
+    Lattice,
+    _enumerate_shifted_spheres,
+    build_codebook,
+    is_lattice_point,
+    make_linear_code,
+    scale_lattice,
+)
 from latticeic.simulate import (
     MAX_SQUARED_DISTANCE,
     ConfigError,
     SimConfig,
     _distinct_rows,
+    _nearest_on_lattice,
     _nearest_rows,
     _pair_sums,
+    _rows_differ,
     _squared_distances,
+    _voronoi_errors,
     align_interference_lattices,
     run_simulation,
     wilson_interval,
 )
+from test_lattice import lattice_params, reference_lattice
 
 
 def vs_config(**kw):
@@ -445,6 +456,113 @@ def test_p2p_respects_sphere_bound(n, sigma2):
     cfg = SimConfig(scheme="p2p", n=n, trials=1000, master_seed=n, rates=[1.0], power=15.0, sigma2=sigma2,
                     search_budget=2)
     assert run_simulation(cfg).wilson_interval[1] >= sphere_bound(n, 15.0, 1.0, sigma2)
+
+
+class TestVoronoiErrors:
+    """p2p's error mask, a test of the Voronoi cell with the full-lattice
+    decoder as its fallback, counts the errors that decoder counts."""
+
+    @staticmethod
+    def short_vectors(lat):
+        """The nonzero vectors of the unit-scale lattice with squared norm at most p^2 (p e_i is one)."""
+        unit = Lattice(lat.code, 1.0)
+        _, vecs = _enumerate_shifted_spheres(unit, np.zeros((1, lat.n)), (lat.p**2 + 0.5) / lat.n)
+        return vecs[np.any(vecs != 0, axis=1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        noise=st.floats(-12.0, 1.0),
+        scale=st.sampled_from([1.0, 1e-7, 1e12]),
+        **lattice_params,
+    )
+    @example(n=2, p=5, k_frac=0.0, seed=0, gamma=1.0, rows=20, noise=-0.5, scale=1.0)
+    @example(n=6, p=13, k_frac=0.5, seed=1, gamma=0.7, rows=30, noise=-1.0, scale=1e-7)
+    def test_equals_full_decode(self, n, p, k_frac, seed, gamma, rows, noise, scale):
+        # noise per coordinate from 1e-12 to 10 times the coarse cell gamma*p, past the cap
+        lat = scale_lattice(reference_lattice(n, p, int(k_frac * n), seed, gamma), scale)
+        rng = np.random.default_rng(seed)
+        step = lat.gamma * lat.p
+        shift = rng.uniform(0, step, size=n)
+        words = lat.code.codewords[rng.integers(0, len(lat.code.codewords), size=rows)]
+        x = lat.gamma * (words + lat.p * rng.integers(-3, 4, size=(rows, n))) + shift
+        y = x + rng.normal(size=(rows, n)) * step * 10.0**noise
+        # constructed exact ties: halfway to a shortest vector, and a midpoint within one coset
+        vecs = self.short_vectors(lat)
+        v = vecs[np.argmin(np.einsum("ij,ij->i", vecs, vecs))]
+        i = int(rng.integers(0, n))
+        ties = np.array([x[0] + lat.gamma * v / 2, x[0] + step / 2 * np.eye(n)[i]])
+        # the midpoint is a tie unless some v has |v|^2 < p v_i, and any such v is shorter than p
+        coset_tie = not np.any(np.einsum("ij,ij->i", vecs, vecs) < lat.p * vecs[:, i])
+        x, y = np.concatenate([x, x[:1], x[:1]]), np.concatenate([y, ties])
+        want = _rows_differ(_nearest_on_lattice(lat, shift, y), x)
+        decoded = []
+
+        def spy(lat_, shift_, ys):
+            decoded.extend(map(tuple, ys))
+            return _nearest_on_lattice(lat_, shift_, ys)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latticeic.simulate, "_nearest_on_lattice", spy)
+            got = _voronoi_errors(lat, shift, x, y)
+        assert np.array_equal(got, want)
+        assert tuple(y[rows]) in decoded
+        if coset_tie:
+            assert tuple(y[rows + 1]) in decoded
+
+    def test_low_noise_rows_skip_the_decoder(self, monkeypatch):
+        # a (13, 4) code at n = 8, as in p2p's largest candidates: no row needs the 13^4-coset scan
+        cb = build_codebook(Lattice(make_linear_code(8, 4, 13, seed=3), 0.5), 2.0, 0.5, shift_trials=2, seed=3)
+        y = cb.words + np.random.default_rng(3).normal(size=cb.words.shape) * 0.05
+        monkeypatch.setattr(latticeic.simulate, "nearest_points_batch", None)
+        assert not _voronoi_errors(cb.lattice, cb.shift, cb.words, y).any()
+
+
+# result-line SHA-256s recorded with the all-coset decoder, at noise up to past the cap of
+# `_voronoi_errors` (every config at n >= 4 with sigma2 >= 5 needs the cap)
+P2P_NOISE_PINNED = {
+    (2, 5.0, 0.5): "1c583dd48b9cc9d62b3f5c0fe05ccc590dc8127ff1273d8db248db9a39fc92c5",
+    (2, 5.0, 1.0): "ee8aa1f3a0b6722141c55b64df8716213dcc057e878c8d0e411e51155254bb1a",
+    (2, 5.0, 2.0): "0b3e4b5955e03d97191bbf1902d71ea82f9a4feb3af0d0035c3d4928baf511de",
+    (2, 50.0, 0.5): "7133ae3f34d6699639175582ee391956918c8a07c9a4173de54bb7d702954ae9",
+    (2, 50.0, 1.0): "0c9da07c834674bb9d9dffb9894e457d1f5de283b13597ea4d5dc47126113a23",
+    (2, 50.0, 2.0): "f4ca7e57ec51318d528445cc0463ac9961ace073a457958becb6bead3fc6bf31",
+    (2, 1000.0, 0.5): "0b5729e939d25d0d0ac2896541625dcd5cdbb8393688f5c62fe904664b2bf859",
+    (2, 1000.0, 1.0): "655525a238df3e38ffe10bdea303e39a125c216127910962eda9824395e34d0b",
+    (2, 1000.0, 2.0): "5112c131f9b63197cc7cc491bd6b03603a42a008b6a45680bab75c57a06f16e6",
+    (4, 5.0, 0.5): "cabd27853f69926ae220e094084b89c35dde1c52a91755e4b35209c7f284aba6",
+    (4, 5.0, 1.0): "dbcfaa049ddcdab3011da2ab5c1675878886226312d6595b2ad1f64d094730ca",
+    (4, 5.0, 2.0): "f3dd3570f5865a517f0efb985935a6151b62411e2c6ba1332097da3511a99fcf",
+    (4, 50.0, 0.5): "dfac22ab3975470df3246b7be47825fc5f91eec530fd601f2f5da6578868dd0b",
+    (4, 50.0, 1.0): "7f2ea712dece8933ea25d112a1eda42d0077f7e2d6ed657a55b992f843bdac83",
+    (4, 50.0, 2.0): "bd459a66023effacd0807dd3e9192a3bddfa0e59ca67a7ba59c4d3a345b6bb13",
+    (4, 1000.0, 0.5): "7932fa93f98e6c89b82711d31bd86e8da135a5b509a9c412b554d75c738a41e3",
+    (4, 1000.0, 1.0): "2c7000df15303322aeb5c405bf7c1aff57ed07366219b148a3783a3be58c15d4",
+    (4, 1000.0, 2.0): "14672ae2cb7259320115d05e0262d12fece776f955d2ed2de45e2a7844ebe0cb",
+    (8, 5.0, 0.5): "557747989c773c2367e85002872d6deb46a90019e1c08f37317c430011018292",
+    (8, 5.0, 1.0): "111f07fd20db03b295c2f3785f75c32537462bbdd73e64ce3700721fa5e445e9",
+    (8, 5.0, 2.0): "df9c490cfd06308963616b8f39916bbc75f0ce62057a07aea1dc1e43621f442a",
+    (8, 50.0, 0.5): "1dcbc8b4de5dc278d0e5e75305486a799dc3e14a2e59fe0ead3d9752b2813625",
+    (8, 50.0, 1.0): "1aac191a9988edcfc21eea4b54432700bd8892eab3ec71bd2faf3d3bc0e16a49",
+    (8, 50.0, 2.0): "e0829023cc29e8263a02da5ae3772662d3cdf8c510ba1225500458189412a4cd",
+    (8, 1000.0, 0.5): "5a9b254620ad1f25d1185419c2c9a214a80878d751390ed83eb60b563aed37ec",
+    (8, 1000.0, 1.0): "7c30d9c4c3b914ed8cfc1fb6166d42fc45f2c092d8ddabf1f328b1c97dc687c7",
+    (8, 1000.0, 2.0): "d3c1233b249421c723fb8a0896166518a2d2c916feae7666ee9e4c0b5ba1df18",
+    (10, 5.0, 0.5): "5fa504b394f360805dc0a5e9c1e9008e14e129abaea23ac97d0376696b5934d8",
+    (10, 5.0, 1.0): "cc63aede1db2c1943c31d2c1f8e802dade4a7b27310b8936d68a1b9781317455",
+    (10, 50.0, 0.5): "141d73c72f156d2da94bcbedf52cc1a6c01561edbf97f87af3a239d1fdaf483e",
+    (10, 50.0, 1.0): "d699dadf6f16992a5693c93883bde7c026002328f732f545916d72f57293a409",
+    (10, 1000.0, 0.5): "5a8d2249895af9ec2b735dc0cb0ae388bca88f46a32b01aa5945f57f2b0e4fed",
+    (10, 1000.0, 1.0): "80d989e46021a41cfe3cf3928046fd61844b96855d0d60ad1fa3ddfceee7ccfe",
+}
+
+
+@pytest.mark.parametrize("n, sigma2, rate", sorted(P2P_NOISE_PINNED))
+def test_high_noise_p2p_pinned(n, sigma2, rate):
+    cfg = SimConfig(scheme="p2p", n=n, trials=100, master_seed=n, rates=[rate], power=15.0, sigma2=sigma2,
+                    search_budget=2)
+    line = run_simulation(cfg).to_json_line(cfg)
+    assert hashlib.sha256(line.encode()).hexdigest() == P2P_NOISE_PINNED[n, sigma2, rate]
 
 
 class TestRestrictedDecoder:
