@@ -166,17 +166,14 @@ def fundamental_volume(lat: Lattice) -> float:
 
 
 def is_lattice_point(lat: Lattice, w) -> bool:
-    """True iff w is within 1e-9 (inf-norm) of a lattice point.
-
-    Exact for gamma > 2e-9; the rounded integer vector is the only
-    candidate in that regime.
-    """
+    """True iff w is within 1e-9 * gamma (inf-norm) of a lattice point: the
+    rounded integer vector v of w / gamma is the only candidate."""
     w = np.asarray(w, dtype=float)
     if w.shape != (lat.n,):
         raise ValueError(f"dimension mismatch: {w.shape} vs ({lat.n},)")
     u = w / lat.gamma
     v = np.round(u).astype(np.int64)
-    if np.max(np.abs(w - lat.gamma * v)) > 1e-9:
+    if np.max(np.abs(u - v)) > 1e-9:
         return False
     return lat.code.contains(v % lat.p)
 

@@ -48,7 +48,6 @@ from .rates import (
 _CODE, _SHIFT, _MSG, _NOISE = 1, 2, 3, 4
 
 _DECODE_BATCH_ELEMS = 6_000_000
-_MATCH_TOL = 1e-6
 
 # Caps on the work of one config, measured at n = 10 on 2 cores: 0.89 GB at the trials cap
 # (three layers); 0.36 GB and 51 s at the shift_trials cap (p2p), as the shaping frontier is
@@ -158,7 +157,8 @@ class SimConfig:
                 raise ConfigError(f"{self.scheme} requires gain a")
             a2 = squared_gain("config field 'a'", self.a)
         # Each scheme's powers: user 1's layers (shared by every user of a symmetric scheme), or each user's.
-        # Noiseless hooks (a noise below 1) test mechanics only: regime conditions use the noise floor max(noise, 1)
+        # Noiseless hooks (a noise below 1) test mechanics only: regime conditions use the noise floor max(noise, 1),
+        # an absolute rule, unlike the error counts, which are judged on each lattice's own scale
         if self.scheme == "p2p":
             powers = [self.power]
             self._check_layers(powers, [1.0], [powers], self.sigma2)  # no interferers
@@ -425,9 +425,9 @@ def _nearest_on_lattice(lat: Lattice, shift: np.ndarray, ys: np.ndarray) -> np.n
 
 
 def _voronoi_errors(lat: Lattice, shift: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bit for bit _rows_differ(_nearest_on_lattice(lat, shift, y), x), for
-    rows x that are points of the lattice moved by `shift`, decoding only the
-    rows that a test of the Voronoi cell cannot settle.
+    """Bit for bit _rows_differ(_nearest_on_lattice(lat, shift, y), x, lat.gamma),
+    for rows x that are points of the lattice moved by `shift`, decoding only
+    the rows that a test of the Voronoi cell cannot settle.
 
     In lattice units the coset table decodes u = (y - shift)/gamma, and x is
     k = rint((x - shift)/gamma), exactly: the shaping trie lists at most
@@ -448,13 +448,13 @@ def _voronoi_errors(lat: Lattice, shift: np.ndarray, x: np.ndarray, y: np.ndarra
     margin computed here is within (n+3) eps (|e||v| + |v|^2) <= 7 (n+3) eps R^2
     of the true one. Each adds at most `tiny` per product that underflows. A
     row goes to `_nearest_on_lattice` if its smallest margin lies within
-    B = 4 (n+4)^2 (eps R^2 + tiny) of 0, exact ties included, or if its
-    4|e|^2 + 3B passes the squared radius of the ball that holds p^k lattice
-    points on average, so no row costs more than the coset scan. A kept row
-    decodes to gamma*k + shift, computed here as the table computes it. A
+    B = 4 (n+4)^2 (eps R^2 + tiny) of 0, exact ties included, if B >= 1/2, or
+    if its 4|e|^2 + 3B passes the squared radius of the ball that holds p^k
+    lattice points on average, so no row costs more than the coset scan. A
+    kept row decodes to x's lattice point gamma*k + shift, so it is correct. A
     left row decodes to some k' != k with |k' - u| <= |e|, which differs from
-    x by at least gamma (1 - 12 eps R) > gamma (1 - B) in some coordinate: it
-    is an error if that passes _MATCH_TOL, and is decoded otherwise."""
+    x by at least gamma (1 - 12 eps R) in some coordinate; as R >= p > 1,
+    12 eps R < B < 1/2, so that passes gamma/2 and the row is an error."""
     n, p = lat.n, lat.p
     u = (y - shift) / lat.gamma
     k = np.rint((x - shift) / lat.gamma)
@@ -465,7 +465,7 @@ def _voronoi_errors(lat: Lattice, shift: np.ndarray, x: np.ndarray, y: np.ndarra
     need = 4 * ee + 3 * band
     unit = Lattice(lat.code, 1.0)
     cap = (p**lat.code.k * fundamental_volume(unit) * math.gamma(n / 2 + 1) / math.pi ** (n / 2)) ** (2 / n)
-    rows = np.flatnonzero(need <= cap)
+    rows = np.flatnonzero((need <= cap) & (band < 0.5))
     rows = rows[np.argsort(need[rows], kind="stable")]
     verdict = np.zeros(len(y), dtype=np.int8)  # 1 kept, -1 left, 0 undecided
     if rows.size:
@@ -487,38 +487,38 @@ def _voronoi_errors(lat: Lattice, shift: np.ndarray, x: np.ndarray, y: np.ndarra
             low = d.min(axis=1, initial=np.inf)
             verdict[blk] = (low > band[blk]).astype(np.int8) - (low < -band[blk])
             lo = hi
-    kept = verdict > 0
-    bad = (verdict < 0) & (lat.gamma * (1.0 - band) > _MATCH_TOL)
-    rest = ~(kept | bad)
-    bad[kept] = _rows_differ(lat.gamma * k[kept] + shift, x[kept])
-    bad[rest] = _rows_differ(_nearest_on_lattice(lat, shift, y[rest]), x[rest])
+    bad, rest = verdict < 0, verdict == 0
+    bad[rest] = _rows_differ(_nearest_on_lattice(lat, shift, y[rest]), x[rest], lat.gamma)
     return bad
 
 
-def _pair_sums(words: np.ndarray, scale: float) -> np.ndarray | None:
-    """`scale` times the distinct values of w_j + w_k over unordered pairs
-    with repetition, or None when the sumset is too large to enumerate."""
+def _pair_sums(words: np.ndarray, lat: Lattice, shift: np.ndarray) -> np.ndarray | None:
+    """The distinct points w_j + w_k of `lat` moved by `shift`, over unordered
+    pairs with repetition, or None when the sumset is too large to enumerate."""
     m = len(words)
     if m * (m + 1) // 2 > _MAX_RESTRICTED_ROWS:
         return None
     iu = np.triu_indices(m)
-    return scale * _distinct_rows(words[iu[0]] + words[iu[1]])
+    return _distinct_points(words[iu[0]] + words[iu[1]], lat, shift)
 
 
-def _distinct_rows(x: np.ndarray) -> np.ndarray:
-    """The distinct rows of `x` rounded to 9 places, in lexicographic order:
-    the rows of np.unique(np.round(x, 9), axis=0), with every zero +0.0 (which
-    signed zero np.unique keeps follows its unstable sort)."""
-    r = np.round(x, 9)
-    r += 0.0  # -0.0 + 0.0 is +0.0
-    r = r[np.lexsort(r.T[::-1])]
-    keep = np.ones(len(r), dtype=bool)
-    np.any(r[1:] != r[:-1], axis=1, out=keep[1:])
-    return r[keep]
+def _distinct_points(x: np.ndarray, lat: Lattice, shift: np.ndarray) -> np.ndarray:
+    """The distinct points of `lat` moved by `shift` nearest to the rows of `x`,
+    in lexicographic order: gamma * s + shift over the distinct integer rows s
+    of rint((x - shift) / gamma), so rows a rounding error apart merge."""
+    s = x - shift
+    np.rint(np.divide(s, lat.gamma, out=s), out=s)  # in place: a sumset may hold _MAX_RESTRICTED_ROWS rows
+    s = s[np.lexsort(s.T[::-1])]
+    keep = np.ones(len(s), dtype=bool)
+    np.any(s[1:] != s[:-1], axis=1, out=keep[1:])
+    return lat.gamma * s[keep] + shift
 
 
-def _rows_differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a - b), axis=1) > _MATCH_TOL
+def _rows_differ(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """Per row, whether points a and b of a lattice of scale `gamma` differ:
+    distinct points of gamma * L, L in Z^n, differ by at least gamma in some
+    coordinate, and rounding moves a decoded point by far less than gamma/2."""
+    return np.max(np.abs(a - b), axis=1) > gamma / 2
 
 
 _STRONG_ORDER = ("interference", "message")
@@ -528,26 +528,28 @@ _WEAK_ORDER = ("message", "interference")
 def _decode_stages(cfg: SimConfig, resid: np.ndarray, layers, order: tuple[str, str], meta: dict) -> ErrorStats:
     """Successive decoding at receiver 1 of the received rows `resid`.
 
-    Each layer is (own words, own truth, aggregate truth, sumset or None,
+    Each layer is (own Codebook, own truth, aggregate truth, sumset or None,
     aggregate lattice, aggregate shift) and is decoded as the stage pair in
     `order`: the aggregate interference point is the nearest point of the
     sumset when it is small enough to list, else of the aggregate lattice
     moved by the aggregate shift; the own codeword is the nearest own word.
+    A stage errs where `_rows_differ` finds its decode off the truth on that
+    stage's lattice: the own lattice, or the aggregate one.
     With the genie flag the true value is fed forward after a stage error so
     per-stage statistics stay clean.
     """
     int_errs, msg_errs = [], []
     block_bad = np.zeros(len(resid), dtype=bool)
-    for words, own, agg, sums, lat, shift in layers:
+    for book, own, agg, sums, lat, shift in layers:
         truth, bad = {"interference": agg, "message": own}, {}
         for stage in order:
             if stage == "message":
-                dec = _nearest_rows(words, resid)
+                dec, gamma = _nearest_rows(book.words, resid), book.lattice.gamma
             elif sums is not None:
-                dec = _nearest_rows(sums, resid)
+                dec, gamma = _nearest_rows(sums, resid), lat.gamma
             else:
-                dec = _nearest_on_lattice(lat, shift, resid)
-            bad[stage] = _rows_differ(dec, truth[stage])
+                dec, gamma = _nearest_on_lattice(lat, shift, resid), lat.gamma
+            bad[stage] = _rows_differ(dec, truth[stage], gamma)
             resid = resid - (truth[stage] if cfg.genie else dec)
         int_errs.append(int(bad["interference"].sum()))
         msg_errs.append(int(bad["message"].sum()))
@@ -600,11 +602,12 @@ def _simulate_symmetric(cfg: SimConfig, powers: list[float], order: tuple[str, s
         resid = receive(symmetric_channel(a), 0, x, math.sqrt(cfg.sigma2) * z)
         # the aggregate of two shifted codewords lies on the a-scaled lattice
         # shifted by twice the (scaled) codebook shift; built one layer at a time
-        layers = (
-            (b.words, b.words[m[:, 0]], a * (b.words[m[:, 1]] + b.words[m[:, 2]]),
-             _pair_sums(b.words, a), scale_lattice(b.lattice, a), 2.0 * a * b.shift)
-            for b, m in zip(books, msgs)
-        )
+        def layer(b, m):
+            lat, shift = scale_lattice(b.lattice, a), 2.0 * a * b.shift
+            agg = a * (b.words[m[:, 1]] + b.words[m[:, 2]])
+            return b, b.words[m[:, 0]], agg, _pair_sums(a * b.words, lat, shift), lat, shift
+
+        layers = (layer(b, m) for b, m in zip(books, msgs))
         return _decode_stages(cfg, resid, layers, order, {"layers": _layers_meta(books)})
 
     return _search(cfg, powers, lambda cand: _layer_lattices(cfg, powers, cand), run)
@@ -641,13 +644,13 @@ def _simulate_very_strong_general(cfg: SimConfig, ch: ChannelMatrix3, noise: lis
         xs = [b.words[rng_msg.integers(0, len(b), size=T)] for b in books]
         z = keyed_stream(cfg.master_seed, _NOISE, cand).normal(size=(T, n))
         y = receive(ch, 0, xs, math.sqrt(noise[0]) * z)
+        # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
+        lat, shift = scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift
         sums = None
         if len(books[1]) * len(books[2]) <= _MAX_RESTRICTED_ROWS:
             grid = h[0, 1] * books[1].words[:, None, :] + h[0, 2] * books[2].words[None, :, :]
-            sums = _distinct_rows(grid.reshape(-1, n))
-        # h12*L2 + h13*L3 lies on h13*L3 (user 3's lattice is the unscaled base)
-        layer = (books[0].words, xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums,
-                 scale_lattice(books[2].lattice, h[0, 2]), h[0, 1] * books[1].shift + h[0, 2] * books[2].shift)
+            sums = _distinct_points(grid.reshape(-1, n), lat, shift)
+        layer = (books[0], xs[0], h[0, 1] * xs[1] + h[0, 2] * xs[2], sums, lat, shift)
         return _decode_stages(cfg, y, [layer], _STRONG_ORDER, {"condition_set": condition_set})
 
     return _search(cfg, cfg.powers, lattices, run)

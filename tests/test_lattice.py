@@ -217,9 +217,11 @@ class TestIsLatticePoint:
             is_lattice_point(lat_5z2(), (1, 2, 3))
 
     def test_tolerance_band(self):
-        lat = lat_5z2()
-        assert is_lattice_point(lat, (5 + 1e-10, 0))
-        assert not is_lattice_point(lat, (5 + 1e-6, 0))
+        # the band is 1e-9 in lattice units, whatever the scale
+        for gamma in (1.0, 1e-12, 1e12):
+            lat = Lattice(zero_code(2, 5), gamma)
+            assert is_lattice_point(lat, (gamma * (5 + 1e-10), 0))
+            assert not is_lattice_point(lat, (gamma * (5 + 1e-6), 0))
 
 
 class TestNearestPoint:

@@ -26,7 +26,7 @@ from latticeic.simulate import (
     MAX_SQUARED_DISTANCE,
     ConfigError,
     SimConfig,
-    _distinct_rows,
+    _distinct_points,
     _nearest_on_lattice,
     _nearest_rows,
     _pair_sums,
@@ -37,7 +37,7 @@ from latticeic.simulate import (
     run_simulation,
     wilson_interval,
 )
-from test_lattice import lattice_params, reference_lattice
+from test_lattice import full_code, lattice_params, reference_lattice
 
 
 def vs_config(**kw):
@@ -447,6 +447,36 @@ def sphere_bound(n: int, power: float, rate: float, sigma2: float) -> float:
     return math.exp(-half) * sum(half**j / math.factorial(j) for j in range(n // 2))
 
 
+# configs at unit scale, with their (interference, message, block) errors at every scale of P and sigma2
+SCALE_FREE = {
+    "p2p": (dict(scheme="p2p", n=4, master_seed=1, rates=[1.0], power=15.0, sigma2=2.0), ([0], [39], 39)),
+    "very-strong-sym": (dict(scheme="very-strong-sym", n=6, master_seed=1, rates=[0.5], a=2.0, power=3.0, sigma2=1.0),
+                        ([12], [27], 27)),
+    "very-strong-sym-genie": (dict(scheme="very-strong-sym", n=6, master_seed=1, rates=[0.5], a=2.0, power=3.0,
+                                   sigma2=1.0, genie=True), ([12], [15], 15)),
+    "very-strong-general": (dict(scheme="very-strong-general", n=6, master_seed=2, rates=[0.3] * 3, powers=[3.0] * 3,
+                                 sigma2s=[1.0] * 3, h=[[1, 9, 9], [9, 1, 9], [9, 9, 1]], search_budget=3),
+                            ([0], [8], 8)),
+}
+
+
+@pytest.mark.parametrize("c", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("name", sorted(SCALE_FREE))
+def test_error_counts_are_scale_free(name, c):
+    """Scaling every power and noise by c leaves the SNR, and so every count,
+    unchanged: decodes are judged on their lattice's own scale."""
+    kw, want = SCALE_FREE[name]
+    kw = {"trials": 200, "search_budget": 2, **kw}
+    for key in ("power", "sigma2"):
+        if key in kw:
+            kw[key] *= c
+    for key in ("powers", "sigma2s"):
+        if key in kw:
+            kw[key] = [v * c for v in kw[key]]
+    stats = run_simulation(SimConfig(**kw))
+    assert (stats.per_stage_interference_errors, stats.per_stage_message_errors, stats.block_errors) == want
+
+
 @pytest.mark.parametrize("sigma2", [1.0, 2.0, 4.0])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_p2p_respects_sphere_bound(n, sigma2):
@@ -495,7 +525,7 @@ class TestVoronoiErrors:
         # the midpoint is a tie unless some v has |v|^2 < p v_i, and any such v is shorter than p
         coset_tie = not np.any(np.einsum("ij,ij->i", vecs, vecs) < lat.p * vecs[:, i])
         x, y = np.concatenate([x, x[:1], x[:1]]), np.concatenate([y, ties])
-        want = _rows_differ(_nearest_on_lattice(lat, shift, y), x)
+        want = _rows_differ(_nearest_on_lattice(lat, shift, y), x, lat.gamma)
         decoded = []
 
         def spy(lat_, shift_, ys):
@@ -516,6 +546,26 @@ class TestVoronoiErrors:
         y = cb.words + np.random.default_rng(3).normal(size=cb.words.shape) * 0.05
         monkeypatch.setattr(latticeic.simulate, "nearest_points_batch", None)
         assert not _voronoi_errors(cb.lattice, cb.shift, cb.words, y).any()
+
+    def test_rows_whose_band_reaches_half_take_the_decoder(self, monkeypatch):
+        # 5e6 lattice units from the origin B is about 0.8: past 1/2, where the left-row argument
+        # fails, but below the cap, so only the band rule sends these rows to the decoder
+        lat, shift = Lattice(make_linear_code(2, 1, 5, seed=1), 0.5), np.array([0.1, 0.2])
+        rng = np.random.default_rng(0)
+        x = lat.gamma * (lat.code.codewords[rng.integers(0, 5, size=10)] + 5 * rng.integers(-1, 2, size=(10, 2)))
+        x[5:] += lat.gamma * 5 * 10**6
+        x += shift
+        y = x + rng.normal(size=x.shape) * 0.05
+        decoded = []
+
+        def spy(lat_, shift_, ys):
+            decoded.append(len(ys))
+            return _nearest_on_lattice(lat_, shift_, ys)
+
+        want = _rows_differ(_nearest_on_lattice(lat, shift, y), x, lat.gamma)
+        monkeypatch.setattr(latticeic.simulate, "_nearest_on_lattice", spy)
+        assert np.array_equal(_voronoi_errors(lat, shift, x, y), want)
+        assert decoded == [5]
 
 
 # result-line SHA-256s recorded with the all-coset decoder, at noise up to past the cap of
@@ -651,37 +701,45 @@ class TestRestrictedDecoder:
 
 
 class TestDistinctRows:
+    """`_distinct_points`, the one dedupe of both sumsets: the distinct rows of
+    their integer coordinates on the aggregate lattice, mapped back."""
+
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 8), m=st.integers(1, 44), seed=st.integers(0, 2**32 - 1))
-    def test_equals_np_unique(self, n, m, seed):
-        # integer-grid words with many coinciding pair sums; the 1e-12 jitters round to -0.0 and 0.0
+    @given(n=st.integers(1, 8), m=st.integers(1, 44), seed=st.integers(0, 2**32 - 1),
+           gamma=st.sampled_from([1.0, 0.5, 0.75, 1e-12, 1e12]))
+    def test_equals_np_unique(self, n, m, seed, gamma):
+        # lattice words with many coinciding pair sums, each off its point by a few ulps or zero
         rng = np.random.default_rng(seed)
-        words = rng.integers(-2, 3, size=(m, n)) * rng.choice([1.0, 0.5, 0.75])
-        words += rng.choice([0.0, 1e-12, -1e-12], size=words.shape)
+        lat, shift = Lattice(full_code(n, 5), gamma), rng.choice([0.0, 0.3]) * gamma * rng.uniform(size=n)
+        words = gamma * rng.integers(-2, 3, size=(m, n)) + shift
+        words *= 1.0 + rng.choice([0.0, 1e-15, -1e-15], size=words.shape)
         iu = np.triu_indices(m)
         x = words[iu[0]] + words[iu[1]]
-        got = _distinct_rows(x)
-        # bit for bit np.unique's rows once its signed zeros are made +0.0, which only its unstable sort picks
-        want = np.unique(np.round(x, 9) + 0.0, axis=0)
+        got = _distinct_points(x, lat, 2 * shift)
+        want = gamma * np.unique(np.rint((x - 2 * shift) / gamma), axis=0) + 2 * shift
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(got, np.unique(np.round(x, 9), axis=0))
 
     def test_signed_zeros_merge_into_positive_zero(self):
-        x = np.array([[-1e-12, 1.0], [1e-12, 1.0], [0.0, 1.0], [-0.0, -2.0]])
-        got = _distinct_rows(x)
-        assert np.array_equal(got, [[0.0, -2.0], [0.0, 1.0]])
+        # -0.0 and +0.0 coordinates are one point, and so are rows a few ulps off one lattice point
+        lat = Lattice(full_code(2, 5), 1e-12)
+        x = np.array([[-1e-25, 1e-12], [1e-25, 1e-12], [0.0, 1e-12], [-0.0, -2e-12]])
+        got = _distinct_points(x, lat, np.zeros(2))
+        assert np.array_equal(got, [[0.0, -2e-12], [0.0, 1e-12]])
         assert not np.signbit(got[got == 0]).any()
+        point = np.array([3.0, -7.0]) * 1e12 + 0.25e12
+        x = point + np.array([[0, 0], [1, -2], [-3, 1]]) * np.spacing(point)
+        assert np.array_equal(_distinct_points(x, Lattice(full_code(2, 5), 1e12), np.full(2, 0.25e12)), [point])
 
     def test_both_sumsets_use_it(self, monkeypatch):
         calls = []
 
-        def spy(x):
+        def spy(x, lat, shift):
             calls.append(x.shape)
-            return _distinct_rows(x)
+            return _distinct_points(x, lat, shift)
 
-        monkeypatch.setattr(latticeic.simulate, "_distinct_rows", spy)
+        monkeypatch.setattr(latticeic.simulate, "_distinct_points", spy)
         words = np.arange(12.0).reshape(4, 3)
-        _pair_sums(words, 2.0)
+        _pair_sums(words, Lattice(full_code(3, 5), 1.0), np.zeros(3))
         assert calls == [(10, 3)]  # the 4 * 5 / 2 unordered pairs with repetition
         calls.clear()
         cfg = SimConfig(scheme="very-strong-general", n=4, trials=100, master_seed=2, rates=[0.3] * 3,
