@@ -21,7 +21,6 @@ import numpy as np
 from .channel import (
     ChannelMatrix3,
     alignment_factors,
-    class_h1_membership,
     finite_real,
     keyed_stream,
     receive,
@@ -40,7 +39,6 @@ from .lattice import (
 from .rates import (
     AllocationError,
     layered_allocation_symmetric,
-    stage_constraints_strong,
     very_strong_general,
 )
 
@@ -117,7 +115,8 @@ class SimConfig:
         the scheme's driver bound to what it reads, its layer powers [power] for
         p2p, the layer powers and stage order for the symmetric schemes, and the
         channel, per-receiver noise, condition set and alignment factor
-        magnitudes for very-strong-general."""
+        magnitudes for very-strong-general. A layered-sym rate is judged against its ladder's
+        stage rate; very-strong-general's gains by `ChannelMatrix3` and `alignment_factors`."""
         # annotations are strings here (postponed evaluation), e.g. "float | None"
         for f in dataclasses.fields(self):
             kind, _, optional = f.type.partition(" | ")
@@ -179,21 +178,18 @@ class SimConfig:
                 raise ConfigError(f"layered-sym: {exc}") from exc
             powers = alloc.powers.tolist()
             self._check_layers(powers, [1.0, self.a, self.a], [powers] * 3, self.sigma2)
-            if alloc.regime == "strong":
-                ceil, order = np.minimum(*stage_constraints_strong(a2, powers)), _STRONG_ORDER
-            else:
-                ceil, order = alloc.rates, _WEAK_ORDER
             for i, r in enumerate(self.rates):
-                if r > ceil[i] + 1e-12:
-                    raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {ceil[i]:.4f}")
+                if r > alloc.rates[i] + 1e-12:
+                    raise ConfigError(f"layer {i + 1} rate {r} exceeds its stage ceiling {alloc.rates[i]:.4f}")
+            order = _STRONG_ORDER if alloc.regime == "strong" else _WEAK_ORDER
             run = functools.partial(_simulate_symmetric, self, powers, order)
         else:
             if self.powers is None or len(self.powers) != 3 or min(self.powers) <= 0:
                 raise ConfigError("very-strong-general requires 3 positive powers")
             if self.h is None or len(self.h) != 3 or any(len(row) != 3 for row in self.h):
                 raise ConfigError(f"very-strong-general requires h, a 3x3 gain matrix, got {self.h!r}")
-            try:  # unit diagonal, a witness that aligns every receiver
-                ch = ChannelMatrix3(self.h, h1_witness=class_h1_membership(self.h))
+            try:  # unit diagonal, nonzero cross gains, a witness and finite alignment factors
+                ch = ChannelMatrix3(self.h)
                 factors = [abs(f) for f in alignment_factors(ch)]
             except ValueError as exc:
                 raise ConfigError(f"very-strong-general: {exc}") from exc

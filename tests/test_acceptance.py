@@ -150,7 +150,10 @@ def test_criterion_5_alignment_suite():
         h12, h21, h23, h32, h13 = rng.integers(1, 7, size=5).astype(float)
         h31 = (p / q) * h21 * h32 * h13 / (h12 * h23)
         h = np.array([[1, h12, h13], [h21, 1, h23], [h31, h32, 1.0]])
-        ch = ChannelMatrix3(h, h1_witness=(p, q))
+        ch = ChannelMatrix3(h)
+        if ch.h1_witness != (p, q):
+            failures.append(f"witness {ch.h1_witness} derived for the ratio {p}/{q} at trial {trial}")
+            continue
         l1, l2, l3 = align_interference_lattices(ch, base)
         checks = [
             (abs(h[0, 1]) * l2.gamma, p * abs(h[0, 2]) * l3.gamma),

@@ -1,12 +1,16 @@
 """Channel matrix, rational-ratio membership and AWGN transmission."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeic.channel import (
+    RATIO_TOL,
     ChannelMatrix3,
     alignment_factors,
     channel_from_json,
@@ -26,7 +30,6 @@ class TestChannelMatrix:
     def test_symmetric_zero_gain_is_identity(self):
         ch = symmetric_channel(0.0)
         assert np.array_equal(ch.h, np.eye(3))
-        assert ch.h1_witness == (1, 1)
 
     def test_symmetric_offdiagonals_and_unit_ratio(self):
         ch = symmetric_channel(2.5)
@@ -64,10 +67,6 @@ class TestChannelMatrix:
             with pytest.raises(ValueError, match="gains must be finite real numbers, not bools"):
                 ChannelMatrix3(h)
 
-    def test_rejects_unreduced_witness(self):
-        with pytest.raises(ValueError):
-            ChannelMatrix3(np.eye(3), h1_witness=(2, 4))
-
 
 class TestMembership:
     def test_symmetric_always_unit_witness(self):
@@ -87,13 +86,43 @@ class TestMembership:
         assert best > 1e-9
 
     def test_ratio_near_zero_has_no_witness(self):
-        # 1e-12 is within tol of 0/1, but a zero numerator makes an alignment factor zero
+        # the tolerance is relative to the ratio, so 0/1 is never within it of a nonzero ratio
         for r in (1e-12, -1e-12, 1e-300):
             assert class_h1_membership(matrix_with_cross(h12=r)) is None
 
     def test_zero_cross_gain_rejected(self):
         with pytest.raises(ValueError):
             class_h1_membership(np.eye(3))
+        # construction does not judge the witness; reading it does, every time
+        ch = ChannelMatrix3(np.eye(3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonzero"):
+                ch.h1_witness
+
+    def test_ratio_outside_float_range_rejected(self):
+        for g in (1e-200, 1e200):
+            ch = ChannelMatrix3(matrix_with_cross(h12=g, h23=g))
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                ch.h1_witness
+
+    def test_witness_is_derived_once(self):
+        ch = ChannelMatrix3(matrix_with_cross(h12=2.0, h23=3.0))
+        assert ch.h1_witness is ch.h1_witness == (6, 1)
+        assert "h1_witness" not in {f.name for f in dataclasses.fields(ChannelMatrix3)}
+
+    def test_large_ratio_judged_at_its_own_scale(self):
+        # the ratio 1e7 computes as 10000000.000000002, 1.9e-9 off: within 1e-9 relative, not absolute
+        h = matrix_with_cross(h12=0.3 * 1e7 * 1.1, h21=0.33)
+        ch = ChannelMatrix3(h)
+        assert ch.h1_witness == (10_000_000, 1)
+        f1, f2, f3 = alignment_factors(ch)
+        assert abs(h[2, 0] * f1) == pytest.approx(abs(h[2, 1] * f2), rel=RATIO_TOL)
+
+    @pytest.mark.parametrize("r, q", [(1 / 7 + 8e-10, 7), (1 / 1000 + 5e-10, 1000)])
+    def test_near_rational_ratio_has_no_witness(self, r, q):
+        # within 1e-9 of 1/q absolute, but 5.6e-9 and 5e-7 off relative to the ratio
+        assert abs(r - 1 / q) <= 1e-9 < abs(r - 1 / q) / r
+        assert class_h1_membership(matrix_with_cross(h12=r)) is None
 
     def test_non_unit_diagonal_rejected(self):
         h = matrix_with_cross()
@@ -126,18 +155,28 @@ class TestMembership:
 
 class TestAlignmentFactors:
     def test_zero_cross_gains_rejected(self):
-        # the witness (1, 1) of the identity channel would divide by a zero gain
+        # the identity channel's ratio is 0/0: its witness cannot be judged
         with pytest.raises(ValueError, match="nonzero"):
             alignment_factors(symmetric_channel(0.0))
 
     def test_witness_that_misaligns_receiver_3_rejected(self):
-        # ratio 1/7 + 8e-10: the witness (1, 7) is within class_h1_membership's 1e-9, but
-        # |h31 f1| and |h32 f2| differ by 5.6e-9 relative
+        # ratio 1/7 + 8e-10: (1, 7) would leave |h31 f1| and |h32 f2| 5.6e-9 apart relative,
+        # outside the membership tolerance, so the channel holds no witness
         h = matrix_with_cross(h12=15 * (1 / 7 + 8e-10), h13=20.0, h21=15.0, h23=20.0, h31=20.0, h32=20.0)
-        ch = ChannelMatrix3(h, h1_witness=class_h1_membership(h))
-        assert ch.h1_witness == (1, 7)
-        with pytest.raises(ValueError, match="receiver 3"):
+        ch = ChannelMatrix3(h)
+        assert ch.h1_witness is None
+        with pytest.raises(ValueError, match="no rational-ratio witness"):
             alignment_factors(ch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains=st.lists(st.integers(1, 12), min_size=6, max_size=6),
+           scales=st.lists(st.integers(-6, 6), min_size=6, max_size=6))
+    def test_every_witness_aligns_receiver_3(self, gains, scales):
+        h12, h13, h21, h23, h31, h32 = (g * 10.0**k for g, k in zip(gains, scales))
+        ch = ChannelMatrix3(matrix_with_cross(h12, h13, h21, h23, h31, h32))
+        if ch.h1_witness is not None:
+            f1, f2, _ = alignment_factors(ch)
+            assert math.isclose(abs(h31 * f1), abs(h32 * f2), rel_tol=2 * RATIO_TOL)
 
 
 class TestTransmit:

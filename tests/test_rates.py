@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticeic.channel import ChannelMatrix3, class_h1_membership, symmetric_channel
+from latticeic.channel import ChannelMatrix3, symmetric_channel
 from latticeic.rates import (
     _HK_BLOCK,
     VERY_STRONG_RTOL,
@@ -421,7 +421,8 @@ class TestVeryStrong:
     def test_general_selects_second_condition_set(self):
         # witness (3, 1); h12 deliberately misses set 1's p^2 requirement
         h = np.array([[1.0, 4.0, 10.0], [10.0, 1.0, 10.0], [75.0, 10.0, 1.0]])
-        ch = ChannelMatrix3(h, h1_witness=(3, 1))
+        ch = ChannelMatrix3(h)
+        assert ch.h1_witness == (3, 1)
         out = very_strong_general(ch, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         assert out is not None
         _, idx = out
@@ -431,7 +432,8 @@ class TestVeryStrong:
         # witness (3, 1); h12 and h23 miss the p^2 requirements of sets 1
         # and 2, while h31 meets set 3's p^2 and h13 its q^2
         h = np.array([[1.0, 2.0, 5.0], [2.0, 1.0, 2.0], [15.0, 2.0, 1.0]])
-        ch = ChannelMatrix3(h, h1_witness=(3, 1))
+        ch = ChannelMatrix3(h)
+        assert ch.h1_witness == (3, 1)
         assert _very_strong_conditions(ch, [2.0] * 3, [1.0] * 3) == [False, False, True]
         report, idx = very_strong_general(ch, [2.0] * 3, [1.0] * 3)
         assert idx == 3
@@ -447,7 +449,7 @@ class TestVeryStrong:
         for _ in range(4000):
             h = np.ones((3, 3))
             h[~np.eye(3, dtype=bool)] = rng.integers(1, 13, size=6)
-            ch = ChannelMatrix3(h, h1_witness=class_h1_membership(h))
+            ch = ChannelMatrix3(h)
             p, q = ch.h1_witness
             P, sigma2 = rng.uniform(0.1, 4.0, size=3), rng.uniform(0.2, 2.0, size=3)
             s = P + sigma2
@@ -472,7 +474,7 @@ class TestVeryStrong:
         # the squares of the cross gains overflow; RuntimeWarnings are errors in this suite
         h = np.full((3, 3), 1e200)
         np.fill_diagonal(h, 1.0)
-        report, idx = very_strong_general(ChannelMatrix3(h, h1_witness=(1, 1)), [3.0] * 3, [1.0] * 3)
+        report, idx = very_strong_general(ChannelMatrix3(h), [3.0] * 3, [1.0] * 3)
         assert idx == 1 and report.per_user_rates == pytest.approx([0.5 * math.log2(3.0)] * 3)
 
     def test_general_no_set_holds(self):
@@ -480,7 +482,7 @@ class TestVeryStrong:
         assert very_strong_general(ch, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) is None
 
     def test_general_requires_witness(self):
-        ch = ChannelMatrix3(symmetric_channel(2.0).h)
+        ch = ChannelMatrix3([[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]])
         with pytest.raises(ValueError):
             very_strong_general(ch, [1.0] * 3, [1.0] * 3)
 

@@ -75,7 +75,7 @@ def layered_config(**kw):
 
 VOLUME_RANGE = "the shaping-sphere volume per codeword leaves the float range"
 
-# the cyclic ratio is 1/7 + 8e-10, so class_h1_membership's 1e-9 tolerance gives the witness (1, 7)
+# the cyclic ratio is 1/7 + 8e-10: within 1e-9 of 1/7 absolute, but not relative, so it has no witness
 MISALIGNED_H = [[1, 15 * (1 / 7 + 8e-10), 20], [15, 1, 20], [20, 20, 1]]
 
 
@@ -180,9 +180,9 @@ class TestConfigValidation:
                      "no very-strong condition set holds for this config", id="no-condition-set"),
         pytest.param(vsg_config(h=[[2, 9, 9], [9, 1, 9], [9, 9, 1]]),
                      "very-strong-general: direct gains must be normalized to 1", id="non-unit-diagonal"),
-        # the witness (1, 7) is within 1e-9 of the cyclic ratio but misaligns receiver 3 by 5.6e-9
-        pytest.param(vsg_config(h=MISALIGNED_H), "very-strong-general: witness (1, 7) does not align receiver 3: "
-                     "|h31 f1| = 186.66666666666669, |h32 f2| = 186.66666562133332", id="misaligned-witness"),
+        # (1, 7) would misalign receiver 3 by 5.6e-9 relative, so the channel holds no witness
+        pytest.param(vsg_config(h=MISALIGNED_H), "very-strong-general: channel has no rational-ratio witness",
+                     id="misaligned-witness"),
         # the shaping-sphere volume per codeword overflows, underflows, or leaves a cell scale of 0
         pytest.param(SimConfig(scheme="p2p", n=10, trials=100, master_seed=0, rates=[0.5], power=1e200),
                      f"n=10, rate=0.5, power=1e+200: {VOLUME_RANGE}", id="volume-overflow"),
@@ -699,6 +699,29 @@ class TestRestrictedDecoder:
         assert np.array_equal(_nearest_rows(cands, ys), cands[[0, 1]])
         assert len(sent) == 1 and np.array_equal(sent[0], ys[:1])
 
+    @pytest.mark.parametrize("kw", [
+        dict(scheme="very-strong-sym", n=8, rates=[0.6], power=3.0, a=2.0),
+        dict(scheme="layered-sym", n=6, rates=[0.3, 0.3, 0.3], a=2.0, N=3),
+        dict(scheme="layered-sym", n=6, rates=[0.2, 0.2], a=0.5, N=2),
+    ], ids=["vs-sym", "layered-strong", "layered-weak"])
+    def test_sumset_errs_only_where_lattice_errs(self, monkeypatch, kw):
+        # in genie mode each stage sees one residual under both interference decoders; the
+        # sumset holds the truth and lies on the lattice, so where the lattice decoder is
+        # right the sumset decoder is right too
+        verdicts = {}
+        for rows in (latticeic.simulate._MAX_RESTRICTED_ROWS, 0):
+            calls = verdicts[rows] = []
+            monkeypatch.setattr(latticeic.simulate, "_MAX_RESTRICTED_ROWS", rows)
+            monkeypatch.setattr(latticeic.simulate, "_rows_differ",
+                                lambda a, b, gamma, calls=calls: calls.append(_rows_differ(a, b, gamma)) or calls[-1])
+            for seed in range(3):
+                run_simulation(SimConfig(**kw, trials=2000, master_seed=seed, search_budget=4, genie=True))
+        sumset, lattice = verdicts.values()
+        assert len(sumset) == len(lattice) > 0
+        assert all(not np.any(s & ~f) for s, f in zip(sumset, lattice))
+        # the decoders differ, and the sumset decoder errs at all
+        assert sum(map(np.sum, lattice)) > sum(map(np.sum, sumset)) > 0
+
 
 class TestDistinctRows:
     """`_distinct_points`, the one dedupe of both sumsets: the distinct rows of
@@ -757,7 +780,8 @@ class TestAlignment:
 
     def test_scale_factors_satisfy_all_three_equalities(self):
         h = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
-        ch = ChannelMatrix3(h, h1_witness=(6, 1))
+        ch = ChannelMatrix3(h)
+        assert ch.h1_witness == (6, 1)
         base = Lattice(make_linear_code(2, 1, 5, seed=2), 1.0)
         l1, l2, l3 = align_interference_lattices(ch, base)
         f1, f2, f3 = l1.gamma, l2.gamma, l3.gamma
@@ -776,21 +800,14 @@ class TestAlignment:
             h12, h21, h23, h32, h13 = rng.integers(1, 6, size=5).astype(float)
             h31 = (p / q) * h21 * h32 * h13 / (h12 * h23)
             h = np.array([[1, h12, h13], [h21, 1, h23], [h31, h32, 1.0]])
-            ch = ChannelMatrix3(h, h1_witness=(p, q))
+            ch = ChannelMatrix3(h)
+            assert ch.h1_witness == (p, q)
             l1, l2, l3 = align_interference_lattices(ch, base)
             assert abs(h[2, 0]) * l1.gamma == pytest.approx(abs(h[2, 1]) * l2.gamma, rel=1e-9)
 
     def test_missing_witness_rejected(self):
-        ch = ChannelMatrix3(symmetric_channel(2.0).h)
+        ch = ChannelMatrix3([[1, math.sqrt(2.0), 1], [1, 1, 1], [1, 1, 1]])
         base = Lattice(make_linear_code(2, 1, 5, seed=4), 1.0)
-        with pytest.raises(ValueError):
-            align_interference_lattices(ch, base)
-
-    def test_inconsistent_witness_rejected(self):
-        # true ratio is 6; witness (2, 1) breaks the third equality
-        h = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [1.0, 1.0, 1.0]])
-        ch = ChannelMatrix3(h, h1_witness=(2, 1))
-        base = Lattice(make_linear_code(2, 1, 5, seed=5), 1.0)
         with pytest.raises(ValueError):
             align_interference_lattices(ch, base)
 
