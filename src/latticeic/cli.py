@@ -40,7 +40,7 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 # points of a sweep (--steps) or of the baseline's grid (--grid-size); one
-# baseline call at the cap takes about 3 s on 2 cores
+# baseline call at the cap takes about 0.3 s on a 2-core Xeon
 MAX_GRID_SIZE = 1_000_000
 # layer counts of dof-nonsym (--n-max): at the smallest gains, a^2 = 2, the
 # layer powers leave the float range from N = 397

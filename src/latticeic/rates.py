@@ -158,6 +158,9 @@ _HK_I, _HK_J, _HK_DET = _HK_I[_HK_DET != 0], _HK_J[_HK_DET != 0], _HK_DET[_HK_DE
 # under malloc's 128 KiB mmap threshold, so it is reused from the heap
 # instead of being mapped and page-faulted in again on every call
 _HK_BLOCK = 256
+# a grid point that screens more than this below the largest screened rate
+# cannot hold the baseline's maximum (the bound is derived in `_hk_candidates`)
+_HK_MARGIN = 1e-9
 
 
 def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> float:
@@ -168,6 +171,14 @@ def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> floa
     two interfering common parts, treating the interferers' private signals
     as noise. This restricted split is a lower bound to the full
     common-message region.
+
+    Every grid point's two-variable LP is first solved in closed form
+    (`_hk_screen`); the exact vertex LP (`_hk_lp_max`) then runs only on the
+    points whose screened rate lies within `_HK_MARGIN` of the largest, which
+    by `_hk_candidates`' bound include every point holding the maximum, so
+    the result is bit for bit that of the exact LP on every point. Where a
+    load leaves the float range the bound does not hold, and every point is
+    solved exactly.
     """
     _require_positive_finite("P and sigma2", P, sigma2)
     if not math.isfinite(a):
@@ -175,23 +186,44 @@ def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> floa
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     a2 = a * a
-    best = 0.0
     grid = np.linspace(0.0, 1.0, grid_size)
-    for start in range(0, grid_size, _HK_BLOCK):
-        beta = grid[start : start + _HK_BLOCK, None]
-        pp = (1.0 - beta) * P  # own private power
-        pc = beta * P  # own common power (gain 1)
-        pi = a2 * beta * P  # each interfering common power
-        eta = sigma2 + 2.0 * a2 * pp  # undecoded private interference
-        # MAC-style caps over nonempty subsets of {private, own common,
-        # interferer common x2}, one per signature: the binding cap is the
-        # least-power subset's, its powers summed in subset bit order.
-        # math.log2, not np.log2, whose last bit can differ.
-        m = np.minimum(pc, pi)
-        pw = np.hstack([pp, m, pp + m, m + pi, pp + m + pi, pc + pi + pi, pp + pc + pi + pi])
-        logs = np.fromiter(map(math.log2, (1.0 + pw / eta).ravel().tolist()), float, pw.size)
-        c = np.zeros((len(beta), len(_HK_A)))  # the two axes keep cap 0
-        c[:, :7] = 0.5 * logs.reshape(pw.shape)
+    loads = _hk_candidates(grid, P, sigma2, a2)
+    if loads is None:
+        return max(
+            _hk_lp_max(_hk_loads(grid[start : start + _HK_BLOCK, None], P, sigma2, a2))
+            for start in range(0, grid_size, _HK_BLOCK)
+        )
+    return _hk_lp_max(loads)
+
+
+def _hk_loads(beta, P, sigma2, a2) -> np.ndarray:
+    """(rows, 7) loads 1 + power/noise of the seven MAC caps, in signature
+    order, at each common-power fraction of the column `beta`.
+
+    The caps run over nonempty subsets of {private, own common, interferer
+    common x2}, one per signature: the binding cap is the least-power
+    subset's, its powers summed in subset bit order.
+    """
+    pp = (1.0 - beta) * P  # own private power
+    pc = beta * P  # own common power (gain 1)
+    pi = a2 * beta * P  # each interfering common power
+    eta = sigma2 + 2.0 * a2 * pp  # undecoded private interference
+    m = np.minimum(pc, pi)
+    pw = np.hstack([pp, m, pp + m, m + pi, pp + m + pi, pc + pi + pi, pp + pc + pi + pi])
+    return 1.0 + pw / eta
+
+
+def _hk_lp_max(loads: np.ndarray) -> float:
+    """Largest Rp + Rc of the exact LPs of the rows of `loads`, and 0.0 if
+    none is larger: every candidate vertex that meets the caps within 1e-12.
+    """
+    best = 0.0
+    for start in range(0, len(loads), _HK_BLOCK):
+        x = loads[start : start + _HK_BLOCK]
+        # math.log2, not np.log2, whose last bit can differ
+        logs = np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size)
+        c = np.zeros((len(x), len(_HK_A)))  # the two axes keep cap 0
+        c[:, :7] = 0.5 * logs.reshape(x.shape)
         caps = c[:, :7]
         rp = (c[:, _HK_I] * _HK_B[_HK_J] - c[:, _HK_J] * _HK_B[_HK_I]) / _HK_DET
         rc = (_HK_A[_HK_I] * c[:, _HK_J] - _HK_A[_HK_J] * c[:, _HK_I]) / _HK_DET
@@ -201,6 +233,61 @@ def hk_sym_rate(P: float, sigma2: float, a: float, grid_size: int = 201) -> floa
             feasible &= _HK_A[k] * rp + _HK_B[k] * rc <= caps[:, k, None] + 1e-12
         best = max(best, float(np.max(rp + rc, where=feasible, initial=0.0)))
     return best
+
+
+def _hk_screen(loads: np.ndarray) -> np.ndarray:
+    """Each row's LP optimum in closed form, min(c2, (c0 + c4)/2, (2c0 + c6)/3),
+    from the np.log2 caps c0..c6 of the LP's lines Rp <= c0, Rc <= c1,
+    Rp + Rc <= c2, 2Rc <= c3, Rp + 2Rc <= c4, 3Rc <= c5, Rp + 3Rc <= c6.
+
+    Each term bounds Rp + Rc: c2 itself, (c0 + c4)/2 the mean of Rp <= c0
+    and Rp + 2Rc <= c4, (2c0 + c6)/3 two parts of Rp <= c0 to one of
+    Rp + 3Rc <= c6. The point Rp = c0, Rc = (the least term) - c0 reaches
+    it within every line: a cap (1/2)log2(1 + (pp + X)/eta) lies between
+    c0 and c0 plus (1/2)log2(1 + X/eta), so c0 <= c2 <= c0 + c1,
+    c0 <= c4 <= c0 + c3 and c0 <= c6 <= c0 + c5, which puts that Rc in
+    [0, min(c1, c3/2, c5/3)].
+    """
+    c0, c2, c4, c6 = 0.5 * np.log2(loads[:, ::2]).T
+    return np.minimum(c2, np.minimum((c0 + c4) / 2, (2.0 * c0 + c6) / 3))
+
+
+def _hk_candidates(grid, P, sigma2, a2) -> np.ndarray | None:
+    """Loads of the grid points whose screened rate lies within `_HK_MARGIN`
+    of the largest, screened `_HK_BLOCK` points at a time; None where a load
+    is not finite.
+
+    Bound, with u = 2^-53: a finite load is below 2^1024, so every cap lies
+    in [0, 512] and each rounding of a cap, vertex or rate is at most
+    w = 512 u = 2^-44 (about 5.7e-14), or 2w for a sum up to 1536. Let V(c)
+    be a point's LP optimum at caps c, exactly; raising every cap by d
+    raises V by at most 2d, as lowering both rates by d restores
+    feasibility. Let E be the exact code's value at its math.log2 caps c,
+    S the screen's at its np.log2 caps c', and t the caps of the exact
+    loads, at which V is the screen's closed form F (`_hk_screen`).
+    - E >= V(c) - 9w: the optimal vertex is computed within 5w in Rp and
+      2w in Rc, so it misses a cap or an axis by at most 14w < 1e-12 and
+      passes, and its rate rounds by at most 2w.
+    - E <= V(c) + 2e-12 + 8w: a vertex that passes meets every cap raised
+      by 1e-12 + 3w.
+    - |S - F(c')| <= 1.5w, and F moves by at most the largest move of a cap.
+    With each logarithm within 2 ulps and each load within 5u of its exact
+    value, c and c' lie within e = 2.1w of t, so
+    |S - E| <= 1.5w + e + 2e + 2e-12 + 8w, below 3e-12. A point holding the
+    maximum E then screens within 6e-12 of the largest S, and the margin
+    1e-9 keeps it with room for logarithms some 1000 ulps off.
+    """
+    loads, screened = [], []
+    for start in range(0, len(grid), _HK_BLOCK):
+        x = _hk_loads(grid[start : start + _HK_BLOCK, None], P, sigma2, a2)
+        if not np.isfinite(x).all():
+            return None
+        s = _hk_screen(x)
+        keep = s >= s.max() - _HK_MARGIN
+        loads.append(x[keep])
+        screened.append(s[keep])
+    screened = np.concatenate(screened)
+    return np.concatenate(loads)[screened >= screened.max() - _HK_MARGIN]
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +361,21 @@ def _very_strong_conditions(ch: ChannelMatrix3, P, sigma2) -> list[bool]:
     h = ch.h
     s = [(P[i] + sigma2[i]) for i in range(3)]
     links = [(j, k) for j in range(3) for k in range(3) if j != k]
+
+    def meets(j, k, w):
+        """h_jk^2 >= w^2 s_j / sigma2_k within the slack, for a witness entry w."""
+        try:
+            w2 = float(w * w)
+        except OverflowError:  # only a ratio above ~1e154, an integer float, so w = p fits
+            return (h[j, k] / float(w)) ** 2 >= s[j] / sigma2[k] * (1.0 - VERY_STRONG_RTOL)
+        return h[j, k] ** 2 >= w2 * s[j] / sigma2[k] * (1.0 - VERY_STRONG_RTOL)
+
     conds = []
     # a gain whose square overflows meets every condition as inf, without a warning
     with np.errstate(over="ignore"):
         for p_link, q_link in _VERY_STRONG_SETS:
-            mult = {p_link: p * p, q_link: q * q}
-            conds.append(all(
-                h[j, k] ** 2 >= mult.get((j, k), 1) * s[j] / sigma2[k] * (1.0 - VERY_STRONG_RTOL) for j, k in links
-            ))
+            mult = {p_link: p, q_link: q}
+            conds.append(all(meets(j, k, mult.get((j, k), 1)) for j, k in links))
     return conds
 
 

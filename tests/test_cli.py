@@ -139,6 +139,22 @@ class TestAlignCheck:
         assert capsys.readouterr().err == ""
         assert json.loads(out.read_text())["condition_set"] == 1
 
+    @pytest.mark.parametrize("h, condition_set", [
+        # the cyclic ratio 1e160 is its own witness p, whose square leaves the float range
+        ([[1, 1e160, 1], [1, 1, 1], [1, 1, 1]], None),
+        # (h12 / p)^2 = 9 >= (P + sigma2) / sigma2 = 4, and every other cross gain squares to 9
+        ([[1, 3e160, 3], [3, 1, 3], [3, 3, 1]], 1),
+    ])
+    def test_witness_squaring_past_float_range(self, tmp_path, capsys, h, condition_set):
+        mat = self.write_matrix(tmp_path, h)
+        out = tmp_path / "report.json"
+        argv = ["align-check", "--matrix-file", str(mat), "--powers", "3,3,3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["witness"][1] == 1 and doc["witness"][0] ** 2 > sys.float_info.max
+        assert doc["condition_set"] == condition_set
+
     def test_irrational_ratio_not_member(self, tmp_path):
         r = math.sqrt(2.0)
         mat = self.write_matrix(tmp_path, [[1, r, 1], [1, 1, 1], [1, 1, 1]])

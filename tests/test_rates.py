@@ -1,6 +1,7 @@
 """Closed-form rate and degrees-of-freedom expressions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticeic.channel import ChannelMatrix3, symmetric_channel
+from latticeic.cli import MAX_GRID_SIZE
 from latticeic.rates import (
     _HK_BLOCK,
+    _HK_MARGIN,
     VERY_STRONG_RTOL,
     AllocationError,
+    _hk_candidates,
+    _hk_loads,
+    _hk_screen,
     _ladder,
     _very_strong_conditions,
     dof_nonsym_numeric,
@@ -342,6 +348,60 @@ class TestHkReferenceEquality:
             want = reference_hk_sym_rate(P, sigma2, a, grid_size)
         assert type(got) is float
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+# the MAC signatures (#private, #common) of the seven loads, in `_hk_loads` order
+HK_SIGNATURES = [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+
+
+class TestHkScreen:
+    """The closed-form screen keeps every grid point that can hold the
+    baseline's maximum, so the exact LP need not run on the others."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        P=powers_of_ten((-3, 7), (-300, 307)),
+        sigma2=powers_of_ten((-2, 4), (-300, 300)),
+        a=powers_of_ten((-2, 1.5), (-150, 150)),
+        grid_size=st.integers(2, 300),
+    )
+    # caps near their ceiling of 512, where the exact LP's rounding is largest
+    @example(P=1e300, sigma2=1e-7, a=1e-3, grid_size=50)
+    @example(P=1e300, sigma2=1e-7, a=1.0, grid_size=50)
+    def test_screen_within_bound_of_loop_lp(self, P, sigma2, a, grid_size):
+        # a point holding the maximum is kept when every finite point screens within half the margin
+        with np.errstate(all="ignore"):
+            loads = _hk_loads(np.linspace(0.0, 1.0, grid_size)[:, None], P, sigma2, a * a)
+            screened = _hk_screen(loads)
+        for row, s in zip(loads, screened):
+            if np.isfinite(row).all():
+                caps = {sig: 0.5 * math.log2(x) for sig, x in zip(HK_SIGNATURES, row.tolist())}
+                assert abs(s - reference_max_symmetric_rate(caps)) <= _HK_MARGIN / 2
+
+    def test_tiny_power_keeps_the_whole_grid(self):
+        # every screened rate is below 1e-11, so every point lies within the margin
+        assert len(_hk_candidates(np.linspace(0.0, 1.0, 201), 1e-12, 1.0, 2.5 * 2.5)) == 201
+        assert hk_sym_rate(1e-12, 1.0, 2.5) == reference_hk_sym_rate(1e-12, 1.0, 2.5, 201)
+
+    def test_nonfinite_loads_solve_every_point(self):
+        # the interfering and private powers overflow, so no screen bound holds
+        with np.errstate(all="ignore"):
+            assert _hk_candidates(np.linspace(0.0, 1.0, 201), 1e307, 1e-300, 1e150 * 1e150) is None
+            assert hk_sym_rate(1e307, 1e-300, 1e150) == reference_hk_sym_rate(1e307, 1e-300, 1e150, 201)
+
+    def test_kept_points_span_several_blocks(self):
+        grid_size = 10**4
+        assert len(_hk_candidates(np.linspace(0.0, 1.0, grid_size), 1e-12, 1.0, 0.25)) > _HK_BLOCK
+        assert hk_sym_rate(1e-12, 1.0, 0.5, grid_size) == reference_hk_sym_rate(1e-12, 1.0, 0.5, grid_size)
+
+    def test_grid_cap_screened_in_blocks(self):
+        # the grid itself takes 8 MB; the screen adds one block's arrays and the points it keeps
+        tracemalloc.start()
+        try:
+            assert hk_sym_rate(1e4, 1.0, 0.5, grid_size=MAX_GRID_SIZE) == 2.4787951761223135
+            assert tracemalloc.get_traced_memory()[1] <= 16e6
+        finally:
+            tracemalloc.stop()
 
 
 class TestPhysicalBounds:
